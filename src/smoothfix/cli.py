@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import __version__
 from .analysis import AnalysisOptions, check_assumptions, find_alpha
 from .branching import estimate_martingale_mean
 from .density import DensityLine, grid_integral, kde2d
-from .fourier import PolarGrid, decay_from_grid, polar_grid
+from .fourier import decay_from_grid, polar_grid
 from .model import ConfigError, fingerprint, model_from_config
 from .rng import DOMAIN_ANALYSIS, DOMAIN_BRANCHING, philox
 from . import io, popdyn
@@ -69,13 +68,6 @@ def _floats(text: str, flag: str) -> list[float]:
     if not values:
         raise CliError(f"{flag}: no values given")
     return values
-
-
-def _map_ordered(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _cmd_analyze(args) -> int:
@@ -132,17 +124,7 @@ def _cmd_martingale(args) -> int:
 def _cmd_ecf(args) -> int:
     pool = _load_pool(args.pool)
     radii = _floats(args.radii, "--radii")
-    rows = _map_ordered(
-        lambda r: polar_grid(pool, [r], args.angles, order=args.order),
-        radii, args.threads,
-    )
-    grid = PolarGrid(
-        radii=np.array(radii),
-        angles=rows[0].angles,
-        values=np.vstack([g.values for g in rows]),
-        stderrs=np.vstack([g.stderrs for g in rows]),
-        order=args.order,
-    )
+    grid = polar_grid(pool, radii, args.angles, order=args.order, threads=args.threads)
     out = io.write_scan_csv(args.out, grid)
     extra = {
         "order": args.order,

@@ -20,6 +20,7 @@ import cmath
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +126,8 @@ class CyclicPolya:
     max_children = 2
 
     def __init__(self, b: int):
-        if int(b) != b or b < 1:
+        integral = isinstance(b, numbers.Integral) or (isinstance(b, float) and b.is_integer())
+        if isinstance(b, bool) or not integral or b < 1:
             raise ValueError(f"b must be a positive integer, got {b!r}")
         self.b = int(b)
         self.zeta = cmath.exp(2j * math.pi / self.b)
@@ -267,6 +269,29 @@ def _parse_complex(obj, where: str) -> complex:
     )
 
 
+def _parse_atom(atom, where: str) -> tuple[float, list[complex]]:
+    """One tabular atom: {"prob": p, "weights": [...]} or the list form [p, [...]].
+
+    A weight is a number, {"re", "im"}, {"modulus", "arg"} or an [re, im] pair.
+    """
+    if isinstance(atom, dict):
+        prob, weights = atom["prob"], atom["weights"]
+    elif isinstance(atom, list) and len(atom) == 2:
+        prob, weights = atom
+    else:
+        raise ConfigError(f"{where}: expected {{'prob', 'weights'}} or [prob, weights], "
+                          f"got {atom!r}")
+    parsed = []
+    for w in weights:
+        if not isinstance(w, list):
+            parsed.append(_parse_complex(w, f"{where}.weights"))
+        elif len(w) == 2:
+            parsed.append(complex(float(w[0]), float(w[1])))
+        else:
+            raise ConfigError(f"{where}.weights: expected an [re, im] pair, got {w!r}")
+    return float(prob), parsed
+
+
 def model_from_config(doc: dict):
     """Build a model from a configuration document ({"model": {...}} or the inner dict)."""
     if not isinstance(doc, dict):
@@ -279,18 +304,10 @@ def model_from_config(doc: dict):
         if kind == "biggins":
             return BigginsBinary(_parse_complex(inner["lambda"], "model.lambda"))
         if kind == "polya":
-            return CyclicPolya(int(inner["b"]))
+            return CyclicPolya(inner["b"])
         if kind == "tabular":
-            atoms = []
-            for i, atom in enumerate(inner["atoms"]):
-                weights = [
-                    _parse_complex(pair, f"model.atoms[{i}].weights")
-                    if not isinstance(pair, list)
-                    else complex(float(pair[0]), float(pair[1]))
-                    for pair in atom["weights"]
-                ]
-                atoms.append((float(atom["prob"]), weights))
-            return Tabular(atoms)
+            return Tabular([_parse_atom(atom, f"model.atoms[{i}]")
+                            for i, atom in enumerate(inner["atoms"])])
     except ConfigError:
         raise
     except KeyError as exc:

@@ -104,14 +104,31 @@ def test_martingale_csv_header(tmp_path, biggins_cfg, capsys):
 
 def test_ecf_scan_csv_and_thread_invariance(tmp_path, capsys):
     pool_path = _write_gaussian_pool(tmp_path)
-    one, four = tmp_path / "scan1.csv", tmp_path / "scan4.csv"
-    base = ["ecf", "--pool", pool_path, "--radii", "0.5,1,2", "--angles", "16"]
-    assert main(base + ["--threads", "1", "--out", str(one)]) == 0
-    assert main(base + ["--threads", "4", "--out", str(four)]) == 0
-    assert one.read_bytes() == four.read_bytes()
-    assert one.read_text().splitlines()[0] == "R,theta,re,im,abs,stderr"
-    manifest = json.loads(io.manifest_path(one).read_text())
-    assert len(manifest["max_abs"]) == 3
+    for order in ("0", "1"):
+        one, four = tmp_path / f"scan{order}_1.csv", tmp_path / f"scan{order}_4.csv"
+        base = ["ecf", "--pool", pool_path, "--radii", "0.5,1,2", "--angles", "16",
+                "--order", order]
+        assert main(base + ["--threads", "1", "--out", str(one)]) == 0
+        assert main(base + ["--threads", "4", "--out", str(four)]) == 0
+        assert one.read_bytes() == four.read_bytes()
+        assert one.read_text().splitlines()[0] == "R,theta,re,im,abs,stderr"
+        manifest = json.loads(io.manifest_path(one).read_text())
+        assert len(manifest["max_abs"]) == 3
+        assert ("slope" in manifest) == (order == "1")
+
+
+def test_ecf_unordered_radii_match_per_radius_scans(tmp_path, capsys):
+    # each radius's rows are those of an increasing scan, whatever the order
+    pool_path = _write_gaussian_pool(tmp_path)
+    for order in ("0", "1"):
+        base = ["ecf", "--pool", pool_path, "--angles", "16", "--order", order]
+        ref, mixed = tmp_path / f"ref{order}.csv", tmp_path / f"mixed{order}.csv"
+        assert main(base + ["--radii", "0.5,1,2", "--out", str(ref)]) == 0
+        assert main(base + ["--radii", "2,0.5,1,0.5", "--out", str(mixed)]) == 0
+        rows = ref.read_text().splitlines()[1:]
+        block = {r: rows[16 * i:16 * (i + 1)] for i, r in enumerate(("0.5", "1", "2"))}
+        expected = block["2"] + block["0.5"] + block["1"] + block["0.5"]
+        assert mixed.read_text().splitlines()[1:] == expected
 
 
 def test_ecf_derivative_without_signal_is_runtime_error(tmp_path, capsys):

@@ -1,14 +1,17 @@
 """ECF statistics, fixed-point residuals, and decay scans."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from smoothfix import CyclicPolya
+from smoothfix import BigginsBinary, CyclicPolya
 from smoothfix.fourier import (
     InsufficientSignalError,
     PolarGrid,
+    _fourier_sums,
     decay_from_grid,
     derivative_decay_scan,
     ecf,
@@ -18,7 +21,7 @@ from smoothfix.fourier import (
     wirtinger_derivative,
 )
 from smoothfix.popdyn import run
-from smoothfix.rng import philox
+from smoothfix.rng import DOMAIN_FOURIER, philox
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +75,47 @@ def test_polar_grid_matches_pointwise_ecf(gaussian_samples):
             assert grid.values[i, j] == ecf(gaussian_samples, xi).value
 
 
+def test_fourier_kernel_thread_invariance(polya_pool):
+    # two sample chunks and nine (float64) or forty (float32) frequency
+    # tiles; more threads than cores and frequent thread switches, so a
+    # tile taken twice or lost would show
+    rng = philox(15, 0)
+    z = rng.standard_normal((1 << 14) + 300) + 1j * rng.standard_normal((1 << 14) + 300)
+    # the inner frequencies of fixed_point_residual, on its float32 path
+    freqs = np.conj(CyclicPolya(8).draw_batch(philox(11, DOMAIN_FOURIER, 0), 320)[0]) * 3.0
+    pool = np.tile(polya_pool.samples, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for order in (0, 1, 2):
+            one = polar_grid(z, [0.5, 2.0, 8.0], n_angles=24, order=order, threads=1)
+            for threads in (2, 7):
+                many = polar_grid(z, [0.5, 2.0, 8.0], n_angles=24, order=order,
+                                  threads=threads)
+                assert one.values.tobytes() == many.values.tobytes()
+                assert one.stderrs.tobytes() == many.stderrs.tobytes()
+        one = _fourier_sums(pool, freqs, None, np.float32, 1)
+        for threads in (2, 7):
+            many = _fourier_sums(pool, freqs, None, np.float32, threads)
+            assert one.tobytes() == many.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_polar_grid_memory_is_bounded():
+    # one frequency tile per worker is live at a time; an untiled kernel
+    # needs about 134 MB for each complex (512 x 2^14) temporary
+    rng = philox(16, 0)
+    z = rng.standard_normal(1 << 14) + 1j * rng.standard_normal(1 << 14)
+    tracemalloc.start()
+    try:
+        polar_grid(z, [3.0], n_angles=512, order=1, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
 def test_radial_scan_validations(gaussian_samples):
     with pytest.raises(ValueError, match="increasing"):
         radial_scan(gaussian_samples, [2.0, 1.0])
@@ -114,6 +158,31 @@ def test_residual_zero_at_origin(polya_pool):
 def test_residual_small_on_converged_pool(polya_pool):
     r = fixed_point_residual(polya_pool, CyclicPolya(8), 1.0 + 0.5j, M=2000, rng=3)
     assert r < 0.1
+
+
+def _direct_residual(z, model, xi, M, seed):
+    """The residual with float64 phases and np.exp throughout."""
+    values, counts = model.draw_batch(philox(seed, DOMAIN_FOURIER, 0), M)
+    freqs = np.conj(values) * xi
+    phase = np.multiply.outer(freqs.real, z.real) + np.multiply.outer(freqs.imag, z.imag)
+    inner = np.exp(-1j * phase).mean(axis=1)
+    offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
+    products = np.multiply.reduceat(inner, offsets)
+    lhs = np.exp(-1j * (xi.real * z.real + xi.imag * z.imag)).mean()
+    return abs(lhs - products.mean())
+
+
+@pytest.mark.parametrize("name", ["polya_b8", "biggins_tilt23"])
+def test_residual_float32_phases_match_float64(name):
+    if name == "polya_b8":
+        model = CyclicPolya(8)
+    else:
+        model = BigginsBinary(2.15 * complex(math.cos(2 * math.pi / 23),
+                                             math.sin(2 * math.pi / 23)))
+    z = run(model, n=4000, K=40, seed=1).pool.samples
+    for xi in (0.5, 1.0 + 1.0j, 5.0 * complex(math.cos(0.4), math.sin(0.4))):
+        fast = fixed_point_residual(z, model, xi, M=300, rng=21)
+        assert abs(fast - _direct_residual(z, model, xi, 300, 21)) <= 5e-6
 
 
 def test_residual_validations(polya_pool):

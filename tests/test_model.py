@@ -1,7 +1,9 @@
 """Weight-model construction, sampling paths, and closed-form moments."""
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +175,38 @@ def test_config_errors_name_the_problem():
         model_from_config({"model": {"type": "biggins", "lambda": {"real": 1}}})
     with pytest.raises(ConfigError):
         model_from_config([1, 2, 3])
+
+
+README_TABULAR = (
+    '{"model": {"type": "tabular", "atoms": '
+    '[[0.5, [0.9]], [0.5, [0.25, 0.25, 0.25, 0.25, 0.1]]]}}'
+)
+
+
+def test_config_tabular_list_form_from_readme():
+    assert README_TABULAR in (Path(__file__).parents[1] / "README.md").read_text()
+    listed = model_from_config(json.loads(README_TABULAR))
+    keyed = model_from_config({"model": {"type": "tabular", "atoms": [
+        {"prob": 0.5, "weights": [[0.9, 0.0]]},
+        {"prob": 0.5, "weights": [[0.25, 0.0]] * 4 + [[0.1, 0.0]]},
+    ]}})
+    assert listed.config() == keyed.config()
+    assert fingerprint(listed) == fingerprint(keyed)
+    with pytest.raises(ConfigError, match="atoms"):
+        model_from_config({"model": {"type": "tabular", "atoms": [[0.5, [0.9], 1]]}})
+    for pair in ([0.5], [0.5, 0.0, 1.0]):
+        with pytest.raises(ConfigError, match=r"\[re, im\] pair"):
+            model_from_config({"model": {"type": "tabular",
+                                         "atoms": [{"prob": 1.0, "weights": [pair]}]}})
+
+
+def test_config_polya_b_must_be_an_integer():
+    for b in (8, 8.0):
+        model = model_from_config({"model": {"type": "polya", "b": b}})
+        assert model.b == 8 and isinstance(model.b, int)
+    for b in (8.7, True, "8", None, 0):
+        with pytest.raises(ConfigError, match="positive integer"):
+            model_from_config({"model": {"type": "polya", "b": b}})
 
 
 def test_fingerprint_distinguishes_models():
