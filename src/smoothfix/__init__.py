@@ -13,8 +13,6 @@ from .model import (
     ConfigError,
     CyclicPolya,
     Tabular,
-    WeightDraw,
-    draw_weights,
     fingerprint,
     model_from_config,
     model_to_config,
@@ -25,8 +23,6 @@ __all__ = [
     "ConfigError",
     "CyclicPolya",
     "Tabular",
-    "WeightDraw",
-    "draw_weights",
     "fingerprint",
     "model_from_config",
     "model_to_config",

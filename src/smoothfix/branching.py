@@ -3,9 +3,10 @@
 Nodes of the branching tree carry products of weights along their ancestry
 line; generation n has totals W_n = sum_v |L_v|^alpha (the nonnegative
 martingale when m(alpha) = 1) and Z_n = sum_v L_v (the complex-additive
-martingale when E[sum_j T_j] = 1).  Trees grow geometrically, so both the
-single-trajectory and the batched estimator stop early and set a
-truncation flag once the next generation would exceed the node budget.
+martingale when E[sum_j T_j] = 1).  One generator grows the trees of all
+replicas together.  Trees grow geometrically, so it stops early, and the
+estimator sets a truncation flag, once the next generation would exceed
+the node budget.
 """
 
 from __future__ import annotations
@@ -14,27 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class GenerationWeights:
-    """Totals for one generation of one trajectory."""
-
-    n: int
-    w: float
-    z: complex
-    node_count: int
-
-
-@dataclass(frozen=True)
-class MartingaleTrajectory:
-    records: tuple[GenerationWeights, ...]
-    truncated: bool
-    truncated_at: int | None
-
-    @property
-    def depth(self) -> int:
-        return self.records[-1].n
 
 
 @dataclass(frozen=True)
@@ -50,31 +30,6 @@ class MartingaleMeans:
     reps: int
     truncated: bool
     truncated_at: int | None
-
-
-def simulate_generations(model, alpha: float, depth: int, node_cap: int = 10_000_000,
-                         *, rng: np.random.Generator) -> MartingaleTrajectory:
-    """Simulate one trajectory of the weighted branching tree to the given depth."""
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
-    line = np.ones(1, dtype=np.complex128)
-    records = [GenerationWeights(0, 1.0, 1.0 + 0j, 1)]
-    truncated_at = None
-    for n in range(1, depth + 1):
-        values, counts = model.draw_batch(rng, line.shape[0])
-        if int(counts.sum()) > node_cap:
-            truncated_at = n
-            break
-        line = np.repeat(line, counts) * values
-        records.append(
-            GenerationWeights(
-                n,
-                float(np.sum(np.abs(line) ** alpha)),
-                complex(line.sum()),
-                int(line.shape[0]),
-            )
-        )
-    return MartingaleTrajectory(tuple(records), truncated_at is not None, truncated_at)
 
 
 def _batched_generations(model, depth, reps, rng, node_budget):
@@ -128,21 +83,3 @@ def estimate_martingale_mean(model, alpha: float, depth: int, reps: int,
         truncated_at=truncated_at,
     )
 
-
-def final_generation(model, alpha: float, depth: int, reps: int,
-                     rng: np.random.Generator,
-                     node_budget: int = 10_000_000) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replica (W_depth, Z_depth) samples; errors out if truncation bites."""
-    last = None
-    for n, line, owner in _batched_generations(model, depth, reps, rng, node_budget):
-        if line is None:
-            raise ValueError(f"node budget exceeded at generation {n}")
-        last = (n, line, owner)
-    if last is None or last[0] != depth:
-        raise ValueError("depth must be at least 1")
-    _, line, owner = last
-    w = np.bincount(owner, weights=np.abs(line) ** alpha, minlength=reps)
-    z = np.bincount(owner, weights=line.real, minlength=reps) + 1j * np.bincount(
-        owner, weights=line.imag, minlength=reps
-    )
-    return w, z

@@ -4,8 +4,8 @@ The frequency pairing is <xi, z> = Re(xi) Re(z) + Im(xi) Im(z), and the
 empirical characteristic function is phi_hat(xi) = (1/n) sum_k
 exp(-i <xi, z_k>).  Wirtinger derivatives of phi at xi are estimated by
 the sample means of -(i/2) conj(Z) e^{-i<xi,Z>} (d/d xi) and
--(i/2) Z e^{-i<xi,Z>} (d/d conj(xi)); the second conj-derivative uses the
-squared prefactor (-(i/2) Z)^2.
+-(i/2) Z e^{-i<xi,Z>} (d/d conj(xi)); the second derivatives use the
+squared prefactors (-(i/2) conj(Z))^2 and (-(i/2) Z)^2.
 
 Everything user-facing runs in float64.  The one exception is the inner
 product-of-ECF loop of fixed_point_residual, which evaluates millions of
@@ -94,12 +94,15 @@ def _samples(pool_or_samples) -> np.ndarray:
 
 
 def _prefactor(z: np.ndarray, order: int, which: str = "d_xibar") -> np.ndarray | None:
+    if which not in ("d_xi", "d_xibar"):
+        raise ValueError(f'which must be "d_xi" or "d_xibar", got {which!r}')
     if order == 0:
         return None
+    w = np.conj(z) if which == "d_xi" else z
     if order == 1:
-        return -0.5j * (np.conj(z) if which == "d_xi" else z)
+        return -0.5j * w
     if order == 2:
-        return -0.25 * z * z
+        return -0.25 * w * w
     raise ValueError(f"order must be 0, 1, or 2, got {order}")
 
 
@@ -208,8 +211,6 @@ def ecf(pool, xi: complex) -> EcfValue:
 
 def wirtinger_derivative(pool, xi: complex, which: str = "d_xibar") -> EcfValue:
     """Estimate a first Wirtinger derivative of phi at xi ("d_xi" or "d_xibar")."""
-    if which not in ("d_xi", "d_xibar"):
-        raise ValueError(f'which must be "d_xi" or "d_xibar", got {which!r}')
     z = _samples(pool)
     values, stderrs = _statistic(z, np.array([complex(xi)]), _prefactor(z, 1, which))
     return EcfValue(complex(xi), complex(values[0]), float(stderrs[0]))
@@ -232,12 +233,7 @@ def fixed_point_residual(pool, model, xi: complex, M: int = 1000, rng=None) -> f
     values, counts = model.draw_batch(rng, M)
     sums = _fourier_sums(z, np.conj(values) * xi, None, np.float32, None)
     inner = (sums[0] - 1j * sums[1]) / z.shape[0]
-    c0 = int(counts[0])
-    if (counts == c0).all():
-        products = inner.reshape(M, c0).prod(axis=1)
-    else:
-        offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-        products = np.multiply.reduceat(inner, offsets)
+    products = np.multiply.reduceat(inner, np.concatenate(([0], np.cumsum(counts[:-1]))))
     lhs = ecf(z, xi).value
     return float(abs(lhs - complex(products.mean())))
 

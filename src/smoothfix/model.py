@@ -5,13 +5,14 @@ cyclic Polya-urn splitting family (CyclicPolya), and arbitrary finite
 discrete laws (Tabular).  Complex powers u^zeta for u in (0, 1) use the
 principal branch, u^zeta = exp(zeta * ln u) with ln u real.
 
-Every model exposes two sampling paths.  draw_batch(rng, size) consumes a
-free-running generator and may reject degenerate uniforms; it backs the
-Monte Carlo moment estimates.  weights_from_uniforms(u) maps a fixed block
-of uniforms to weights with no data-dependent consumption, which is what
-the counter-aligned population-dynamics streams require; there the single
-degenerate uniform u = 0 (probability 2^-53 per draw) is clamped to 2^-53
-instead of redrawn.
+Every model has one sampling path.  weights_from_uniforms(u) maps a block
+of uniform_budget uniforms per row to one weight vector per row, with no
+data-dependent consumption, which is what the counter-aligned
+population-dynamics streams require.  draw_batch(rng, size) feeds it
+rng.random((size, uniform_budget)) and backs the Monte Carlo moment
+estimates, the branching trees and the residual draws.  The degenerate
+uniform u = 0 (probability 2^-53 per draw) is clamped to 2^-53, never
+redrawn.
 """
 
 from __future__ import annotations
@@ -21,36 +22,16 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
 _LN2 = math.log(2.0)
-_TINY_U = 2.0**-53  # smallest uniform the clamped batch path can emit
+_TINY_U = 2.0**-53  # smallest positive uniform; polya clamps u = 0 to it
 
 
 class ConfigError(ValueError):
     """Malformed model configuration document."""
-
-
-@dataclass(frozen=True)
-class WeightDraw:
-    """One realization (T_1, ..., T_N): nonzero finite weights, N >= 1."""
-
-    weights: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.weights) < 1:
-            raise ValueError("a weight draw needs at least one weight")
-        for w in self.weights:
-            if w == 0:
-                raise ValueError("weight draws carry nonzero weights only")
-            if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-                raise ValueError(f"non-finite weight {w!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
 
 
 def _logcosh(x: float) -> float:
@@ -66,7 +47,15 @@ def _exp_or_inf(log_value: float) -> float:
         return math.inf
 
 
-class BigginsBinary:
+class _WeightModel:
+    """Draws weight vectors by mapping fresh uniforms through weights_from_uniforms."""
+
+    def draw_batch(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(values, counts) for `size` weight vectors; values are concatenated."""
+        return self.weights_from_uniforms(rng.random((size, self.uniform_budget)))
+
+
+class BigginsBinary(_WeightModel):
     """N = 2 and T_j = exp(-lambda * S_j) / (2 cosh lambda), S_j iid on {+1, -1}."""
 
     kind = "biggins"
@@ -86,17 +75,11 @@ class BigginsBinary:
     def __repr__(self) -> str:
         return f"BigginsBinary({self.lam!r})"
 
-    def _values_from_u(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # u: (m, 2) uniforms; u < 0.5 selects S = +1
-        m = u.shape[0]
-        values = np.where(u < 0.5, self._t_plus, self._t_minus).astype(np.complex128)
-        return values.reshape(-1), np.full(m, 2, dtype=np.int64)
-
     def weights_from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._values_from_u(np.asarray(u)[:, : self.uniform_budget])
-
-    def draw_batch(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._values_from_u(rng.random((size, 2)))
+        # u: (m, 2) uniforms; u < 0.5 selects S = +1
+        u = np.asarray(u)[:, : self.uniform_budget]
+        values = np.where(u < 0.5, self._t_plus, self._t_minus).astype(np.complex128)
+        return values.reshape(-1), np.full(u.shape[0], 2, dtype=np.int64)
 
     def m_closed_form(self, s: float) -> float:
         a = self.lam.real
@@ -118,7 +101,7 @@ class BigginsBinary:
         }
 
 
-class CyclicPolya:
+class CyclicPolya(_WeightModel):
     """N = 2 with T_1 = U^zeta, T_2 = zeta (1-U)^zeta, zeta = exp(2 pi i / b)."""
 
     kind = "polya"
@@ -136,24 +119,13 @@ class CyclicPolya:
     def __repr__(self) -> str:
         return f"CyclicPolya({self.b})"
 
-    def _values_from_u(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # u: (m,) uniforms in (0, 1)
+    def weights_from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # first column: uniforms in [0, 1), with 0 clamped into (0, 1)
+        u = np.maximum(np.asarray(u)[:, 0], _TINY_U)
         t1 = np.exp(self.zeta * np.log(u))
         t2 = self.zeta * np.exp(self.zeta * np.log1p(-u))
         values = np.stack([t1, t2], axis=1).reshape(-1)
         return values, np.full(u.shape[0], 2, dtype=np.int64)
-
-    def weights_from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u0 = np.asarray(u)[:, 0]
-        return self._values_from_u(np.maximum(u0, _TINY_U))
-
-    def draw_batch(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        u = rng.random(size)
-        bad = u == 0.0
-        while bad.any():
-            u[bad] = rng.random(int(bad.sum()))
-            bad = u == 0.0
-        return self._values_from_u(u)
 
     def m_closed_form(self, s: float) -> float:
         # E|T_1|^s + E|T_2|^s = 2 E[U^{sc}] with c = cos(2 pi / b)
@@ -172,7 +144,7 @@ class CyclicPolya:
         return {"type": "polya", "b": self.b}
 
 
-class Tabular:
+class Tabular(_WeightModel):
     """Finite discrete law: atom i has probability p_i and a fixed weight tuple."""
 
     kind = "tabular"
@@ -210,7 +182,8 @@ class Tabular:
     def __repr__(self) -> str:
         return f"Tabular({len(self.atoms)} atoms)"
 
-    def _values_from_u(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def weights_from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = np.asarray(u)[:, 0]
         idx = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._cum) - 1)
         counts = self._lens[idx]
         total = int(counts.sum())
@@ -219,12 +192,6 @@ class Tabular:
         within = np.arange(total) - np.repeat(ends - counts, counts)
         values = self._flat[np.repeat(self._offsets[idx], counts) + within]
         return values, counts
-
-    def weights_from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._values_from_u(np.asarray(u)[:, 0])
-
-    def draw_batch(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._values_from_u(rng.random(size))
 
     def m_closed_form(self, s: float) -> float:
         log_abs = np.log(np.abs(self._flat))
@@ -250,20 +217,22 @@ class Tabular:
         }
 
 
-def draw_weights(model, rng: np.random.Generator) -> WeightDraw:
-    """Draw one weight vector from the model."""
-    values, counts = model.draw_batch(rng, 1)
-    return WeightDraw(tuple(complex(v) for v in values[: counts[0]]))
+def _number(x, where: str) -> float:
+    """A finite JSON number; strings, booleans, NaN and infinities are rejected."""
+    # abs(x) <= max is false for NaN, infinities and integers beyond float range
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise ConfigError(f"{where}: expected a finite number, got {x!r}")
 
 
 def _parse_complex(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return complex(_number(obj, where))
     if isinstance(obj, dict):
         if set(obj) == {"re", "im"}:
-            return complex(float(obj["re"]), float(obj["im"]))
+            return complex(_number(obj["re"], where), _number(obj["im"], where))
         if set(obj) == {"modulus", "arg"}:
-            return cmath.rect(float(obj["modulus"]), float(obj["arg"]))
+            return cmath.rect(_number(obj["modulus"], where), _number(obj["arg"], where))
     raise ConfigError(
         f"{where}: expected a number, {{'re', 'im'}}, or {{'modulus', 'arg'}}, got {obj!r}"
     )
@@ -286,10 +255,11 @@ def _parse_atom(atom, where: str) -> tuple[float, list[complex]]:
         if not isinstance(w, list):
             parsed.append(_parse_complex(w, f"{where}.weights"))
         elif len(w) == 2:
-            parsed.append(complex(float(w[0]), float(w[1])))
+            parsed.append(complex(_number(w[0], f"{where}.weights"),
+                                  _number(w[1], f"{where}.weights")))
         else:
             raise ConfigError(f"{where}.weights: expected an [re, im] pair, got {w!r}")
-    return float(prob), parsed
+    return _number(prob, f"{where}.prob"), parsed
 
 
 def model_from_config(doc: dict):
@@ -312,7 +282,7 @@ def model_from_config(doc: dict):
         raise
     except KeyError as exc:
         raise ConfigError(f"model config missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
     raise ConfigError(f"unknown model type {kind!r}")
 

@@ -8,33 +8,22 @@ import pytest
 
 from smoothfix import BigginsBinary, CyclicPolya
 from smoothfix.analysis import find_alpha
-from smoothfix.branching import (
-    estimate_martingale_mean,
-    final_generation,
-    simulate_generations,
-)
+from smoothfix.branching import _batched_generations, estimate_martingale_mean
 from smoothfix.popdyn import run
 from smoothfix.rng import philox
 
 ALPHA8 = math.sqrt(2.0)
 
 
-def test_single_trajectory_records():
-    traj = simulate_generations(CyclicPolya(8), ALPHA8, 5, rng=philox(1, 0))
-    assert [r.n for r in traj.records] == [0, 1, 2, 3, 4, 5]
-    assert traj.records[0].w == 1.0 and traj.records[0].z == 1.0
-    assert [r.node_count for r in traj.records] == [1, 2, 4, 8, 16, 32]
-    assert not traj.truncated and traj.truncated_at is None
-    # the Polya additive martingale W_n is identically one
-    for r in traj.records:
-        assert r.w == pytest.approx(1.0, abs=1e-8)
-
-
-def test_truncation_at_node_cap():
-    traj = simulate_generations(CyclicPolya(8), ALPHA8, 30, node_cap=100, rng=philox(1, 0))
-    assert traj.truncated
-    assert traj.truncated_at == 7  # 2^7 = 128 > 100
-    assert traj.records[-1].n == 6
+def _final_totals(model, alpha, depth, reps, rng):
+    """Per-replica (W_depth, Z_depth) from the batched generator."""
+    *_, (n, line, owner) = _batched_generations(model, depth, reps, rng, 10_000_000)
+    assert n == depth and line is not None
+    w = np.bincount(owner, weights=np.abs(line) ** alpha, minlength=reps)
+    z = np.bincount(owner, weights=line.real, minlength=reps) + 1j * np.bincount(
+        owner, weights=line.imag, minlength=reps
+    )
+    return w, z
 
 
 def test_estimate_requires_enough_reps():
@@ -47,6 +36,7 @@ def test_polya_w_martingale_degenerate():
     assert np.allclose(means.mean_w, 1.0, atol=1e-8)
     assert (means.se_w < 1e-8).all()
     assert np.array_equal(means.node_count_mean, 2.0 ** np.arange(7))
+    assert not means.truncated and means.truncated_at is None
 
 
 def test_biggins_means_hold_at_four_se():
@@ -63,16 +53,16 @@ def test_batch_truncation_flag():
     means = estimate_martingale_mean(CyclicPolya(8), ALPHA8, 20, 100, philox(1, 0),
                                      node_budget=2000)
     assert means.truncated
-    assert means.truncated_at is not None
+    assert means.truncated_at == 5  # 100 * 2^5 = 3200 > 2000
     assert means.depths[-1] == means.truncated_at - 1
 
 
 def test_batched_matches_single_trajectory_law():
-    """Batched estimator reproduces the per-trajectory statistics exactly
-    when run on the same stream layout."""
+    """The estimator's means are the means of the per-replica totals of the
+    same generator on the same stream."""
     model = BigginsBinary(1.0)
     means = estimate_martingale_mean(model, 1.0, 4, 64, philox(7, 0))
-    w, z = final_generation(model, 1.0, 4, 64, philox(7, 0))
+    w, z = _final_totals(model, 1.0, 4, 64, philox(7, 0))
     assert means.mean_w[4] == pytest.approx(float(w.mean()), abs=1e-15)
     assert means.mean_z[4] == pytest.approx(complex(z.mean()), abs=1e-15)
 
@@ -82,7 +72,7 @@ def test_branching_consistent_with_popdyn_moments():
     first and second absolute moments agree within 4 joint SE."""
     model = CyclicPolya(8)
     depth, reps = 5, 4000
-    _, z = final_generation(model, ALPHA8, depth, reps, philox(11, 0))
+    _, z = _final_totals(model, ALPHA8, depth, reps, philox(11, 0))
     b1, b2 = np.abs(z), np.abs(z) ** 2
     # popdyn side: independent runs give an honest SE for the same moments
     runs = [run(model, n=1000, K=depth, seed=100 + j) for j in range(8)]

@@ -149,6 +149,16 @@ def test_wirtinger_finite_difference_identities(polya_pool):
 def test_wirtinger_which_validation(polya_pool):
     with pytest.raises(ValueError, match="d_xi"):
         wirtinger_derivative(polya_pool, 1.0, "gradient")
+    with pytest.raises(ValueError, match="d_xi"):
+        polar_grid(polya_pool, [1.0], n_angles=8, order=2, which="bogus")
+    # the second d/dxi statistic is the mean of (-(i/2) conj Z)^2 e^{-i<xi,Z>}
+    z = polya_pool.samples
+    grid = polar_grid(z, [2.0], n_angles=8, order=2, which="d_xi")
+    for j, t in enumerate(grid.angles):
+        xi = 2.0 * complex(math.cos(t), math.sin(t))
+        e = np.exp(-1j * (xi.real * z.real + xi.imag * z.imag))
+        direct = (-0.25 * np.conj(z) ** 2 * e).mean()
+        assert grid.values[0, j] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
 def test_residual_zero_at_origin(polya_pool):

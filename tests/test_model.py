@@ -13,24 +13,11 @@ from smoothfix import (
     ConfigError,
     CyclicPolya,
     Tabular,
-    WeightDraw,
-    draw_weights,
     fingerprint,
     model_from_config,
     model_to_config,
 )
 from smoothfix.rng import philox
-
-
-def test_weight_draw_rejects_zero_and_empty():
-    with pytest.raises(ValueError):
-        WeightDraw(())
-    with pytest.raises(ValueError):
-        WeightDraw((1.0, 0.0))
-    with pytest.raises(ValueError):
-        WeightDraw((complex(math.inf, 0.0),))
-    d = WeightDraw((0.5 + 0.5j, -1.0))
-    assert d.n == 2
 
 
 def test_biggins_weights_lambda_one():
@@ -101,12 +88,10 @@ def test_polya_batch_clamps_endpoint_uniform():
 
 
 def test_polya_single_draw_never_degenerate():
-    model = CyclicPolya(8)
-    rng = philox(123, 9)
-    for _ in range(200):
-        d = draw_weights(model, rng)
-        assert d.n == 2
-        assert all(abs(w) > 0 for w in d.weights)
+    values, counts = CyclicPolya(8).draw_batch(philox(123, 9), 200)
+    assert counts.tolist() == [2] * 200
+    assert np.isfinite(values).all()
+    assert (np.abs(values) > 0).all()
 
 
 def test_tabular_validation():
@@ -141,13 +126,20 @@ def test_tabular_m_closed_form_exact():
 
 
 def test_draw_batch_deterministic_and_matches_uniform_path():
-    model = BigginsBinary(cmath.exp(1j * math.pi / 4))
-    a = model.draw_batch(philox(7, 2), 100)
-    b = model.draw_batch(philox(7, 2), 100)
-    assert np.array_equal(a[0], b[0])
-    u = philox(7, 2).random((100, 2))
-    c = model.weights_from_uniforms(u)
-    assert np.array_equal(a[0], c[0])
+    """draw_batch reads uniform_budget uniforms per row from the stream, in
+    order; martingale, analysis and residual reproducibility rest on it."""
+    models = [
+        BigginsBinary(cmath.exp(1j * math.pi / 4)),
+        CyclicPolya(8),
+        Tabular([(0.25, (1.0, 2.0)), (0.25, (3.0,)), (0.5, (4.0, 5.0, 6.0))]),
+    ]
+    for model in models:
+        a = model.draw_batch(philox(7, 2), 100)
+        b = model.draw_batch(philox(7, 2), 100)
+        u = philox(7, 2).random(100 * model.uniform_budget)
+        c = model.weights_from_uniforms(u.reshape(100, model.uniform_budget))
+        for x in (b, c):
+            assert np.array_equal(a[0], x[0]) and np.array_equal(a[1], x[1])
 
 
 def test_config_roundtrip_and_polar_lambda():
@@ -175,6 +167,26 @@ def test_config_errors_name_the_problem():
         model_from_config({"model": {"type": "biggins", "lambda": {"real": 1}}})
     with pytest.raises(ConfigError):
         model_from_config([1, 2, 3])
+
+
+def test_config_rejects_values_it_would_coerce():
+    bad = [
+        {"type": "tabular", "atoms": [{"prob": "1", "weights": [[0.5, 0.0]]}]},
+        {"type": "tabular", "atoms": [{"prob": 1.0, "weights": [["0.5", "0"]]}]},
+        {"type": "tabular", "atoms": [[1.0, [True]]]},
+        {"type": "biggins", "lambda": True},
+        {"type": "biggins", "lambda": {"re": "0.7", "im": "0.7"}},
+        {"type": "biggins", "lambda": {"modulus": 2.15, "arg": "0.27"}},
+        json.loads('{"type": "biggins", "lambda": NaN}'),
+        json.loads('{"type": "biggins", "lambda": Infinity}'),
+        json.loads('{"type": "biggins", "lambda": {"re": -Infinity, "im": 0}}'),
+        {"type": "biggins", "lambda": 10**400},
+        {"type": "polya", "b": 10**400},
+    ]
+    for inner in bad:
+        with pytest.raises(ConfigError):
+            model_from_config({"model": inner})
+    assert model_from_config({"type": "biggins", "lambda": 1}).lam == 1.0
 
 
 README_TABULAR = (
