@@ -49,6 +49,14 @@ def test_biggins_means_hold_at_four_se():
     assert means.mean_z[0] == 1.0 and means.se_z[0] == 0.0
 
 
+def test_truncation_at_node_cap():
+    """A single trajectory stops at the first generation over the node cap."""
+    gens = list(_batched_generations(CyclicPolya(8), 30, 1, philox(1, 0), 100))
+    assert [n for n, *_ in gens] == [1, 2, 3, 4, 5, 6, 7]
+    assert [len(line) for _, line, _ in gens[:-1]] == [2, 4, 8, 16, 32, 64]
+    assert gens[-1][1] is None  # 2^7 = 128 > 100
+
+
 def test_batch_truncation_flag():
     means = estimate_martingale_mean(CyclicPolya(8), ALPHA8, 20, 100, philox(1, 0),
                                      node_budget=2000)
