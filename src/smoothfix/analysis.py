@@ -5,20 +5,22 @@ exponent alpha solving m(alpha) = 1, and an assumption report covering
 supercriticality (A1), existence of alpha (A2), the negative-drift and
 W_1 log W_1 conditions (A3), the |Z_1|^alpha log-moment condition (A4),
 the offspring second-moment conditions (C1), and a support probe for the
-fixed point (Z1).
+fixed point (Z1).  The report's thresholds are fixed: alpha is searched in
+(0, 10] and bisected to width 1e-9, A4 uses eps = 0.1, the support class
+is read from the first 10^4 draws, and Z1 passes when a 2000-sample,
+10-generation pool has an imaginary-part spread above 1e-6.
 
 Monte Carlo paths reuse one common table of weight draws across all s, so
 estimated curves are smooth convex functions of s and bisection on them is
 well posed.  Moment finiteness is never provable from samples; it is
 flagged "pass" when the estimate stabilizes (relative change over the last
-doubling of the sample below a threshold) and "indeterminate" otherwise.
+doubling of the sample at most 5%) and "indeterminate" otherwise.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +30,24 @@ from .rng import DOMAIN_ANALYSIS, philox
 
 DENSITY_ALPHA_RANGE = (1.0, 2.0)  # absolute-continuity results need alpha in (1, 2]
 
+_S_MAX = 10.0  # alpha is the smallest root of m(s) = 1 in (0, _S_MAX]
+_TOL = 1e-9  # bisection bracket width for alpha
+_EPS = 0.1  # the epsilon in E[|Z_1|^alpha log_+^{2+eps} |Z_1|]
+_STABLE_REL = 0.05  # max relative change over the last sample doubling
+_SUPPORT_DRAWS = 10_000
+_Z_POOL_SIZE = 2_000
+_Z_GENERATIONS = 10
+_Z_IM_THRESHOLD = 1e-6
+
 
 class SubcriticalMeanError(ValueError):
     """Raised when m(0) = E[N] <= 1: no supercritical branching, no exponent."""
+
+    def __init__(self, m0: float):
+        super().__init__(
+            f"subcritical mean: m(0) = E[N] = {m0!r} <= 1, no characteristic exponent"
+        )
+        self.m0 = m0
 
 
 class EstimateOverflowError(ArithmeticError):
@@ -43,14 +60,6 @@ class MomentEstimate:
     stderr: float
     n_samples: int
     method: str  # "closed_form" | "monte_carlo"
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "method": self.method,
-        }
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,8 @@ class _DrawTable:
     """One batch of weight draws, reusable across every s-dependent statistic."""
 
     def __init__(self, model, n: int, rng: np.random.Generator):
+        if n < 2:
+            raise ValueError(f"Monte Carlo estimates need at least 2 draws, got {n}")
         values, counts = model.draw_batch(rng, n)
         self.n = n
         self.values = values
@@ -138,28 +149,21 @@ def m_derivative(model, s: float, n: int = 100_000, rng=None, method: str = "aut
     return _mean_with_se(table.m_hat_prime(float(s)), "monte_carlo", f"m'({s})")
 
 
-def _scan_grid(s_max: float) -> np.ndarray:
-    # geometric scan from 2^-6 up to s_max, ratio 2^(1/8)
+def _scan_grid() -> np.ndarray:
+    # geometric scan from 2^-6 up to _S_MAX, ratio 2^(1/8)
     lo, ratio = 2.0**-6, 2.0 ** (1.0 / 8.0)
-    k = int(math.ceil(math.log(s_max / lo) / math.log(ratio)))
+    k = int(math.ceil(math.log(_S_MAX / lo) / math.log(ratio)))
     grid = lo * ratio ** np.arange(k + 1)
-    grid[-1] = s_max
+    grid[-1] = _S_MAX
     return grid
 
 
-def find_alpha(
-    model,
-    s_max: float = 10.0,
-    tol: float = 1e-9,
-    n: int = 100_000,
-    rng=None,
-    method: str = "auto",
-) -> AlphaResult:
-    """Locate the characteristic exponent: the smallest root of m(s) = 1 in (0, s_max].
+def find_alpha(model, n: int = 100_000, rng=None, method: str = "auto") -> AlphaResult:
+    """Locate the characteristic exponent: the smallest root of m(s) = 1 in (0, 10].
 
     Scans a geometric grid for a sign change of m - 1 and bisects the
-    bracket down to width tol.  m is convex, so there are at most two
-    roots; if m has returned above 1 by s_max the result carries
+    bracket down to width 1e-9.  m is convex, so there are at most two
+    roots; if m has returned above 1 by s = 10 the result carries
     multiple_roots = True and alpha is the smaller root.
     """
     how = _resolve_method(model, method)
@@ -175,11 +179,9 @@ def find_alpha(
             return float(table.m_hat(s).mean())
 
     if not m0 > 1.0:
-        raise SubcriticalMeanError(
-            f"subcritical mean: m(0) = E[N] = {m0!r} <= 1, no characteristic exponent"
-        )
+        raise SubcriticalMeanError(m0)
 
-    grid = _scan_grid(s_max)
+    grid = _scan_grid()
     lo, f_lo = 0.0, m0 - 1.0
     hi = None
     for s in grid:
@@ -192,7 +194,7 @@ def find_alpha(
         return AlphaResult(None, 0.0, False, how, m0)
 
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= _TOL:
             break
         mid = 0.5 * (lo + hi)
         if m_of(mid) - 1.0 <= 0.0:
@@ -201,7 +203,7 @@ def find_alpha(
             lo = mid
     alpha = 0.5 * (lo + hi)
 
-    multiple = (s_max - alpha) > 10.0 * tol and m_of(s_max) >= 1.0 - 1e-12
+    multiple = (_S_MAX - alpha) > 10.0 * _TOL and m_of(_S_MAX) >= 1.0 - 1e-12
 
     stderr = 0.0
     if table is not None:
@@ -211,20 +213,6 @@ def find_alpha(
         slope = float(table.m_hat_prime(alpha).mean())
         stderr = se_m / abs(slope) if slope != 0.0 else math.inf
     return AlphaResult(alpha, stderr, multiple, how, m0)
-
-
-@dataclass(frozen=True)
-class AnalysisOptions:
-    n_samples: int = 100_000
-    seed: int = 0
-    s_max: float = 10.0
-    tol: float = 1e-9
-    eps: float = 0.1  # the epsilon in E[|Z_1|^alpha log_+^{2+eps} |Z_1|]
-    stabilization_threshold: float = 0.05
-    support_draws: int = 10_000
-    z_pool_size: int = 2_000
-    z_generations: int = 10
-    z_im_threshold: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -241,45 +229,17 @@ class AssumptionReport:
     c1_cross: MomentEstimate | None
     support_class: str
     z_im_dispersion: float
-    flags: dict = field(default_factory=dict)
-    model_fingerprint: str = ""
-    seed: int = 0
-    n_samples: int = 0
-
-    def as_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, MomentEstimate):
-                return v.as_dict()
-            return v
-
-        return {
-            "m0": self.m0,
-            "alpha": self.alpha,
-            "alpha_stderr": self.alpha_stderr,
-            "alpha_in_density_range": self.alpha_in_density_range,
-            "multiple_roots": self.multiple_roots,
-            "m_prime_alpha": self.m_prime_alpha,
-            "w1_loglog": enc(self.w1_loglog),
-            "a4_moment": enc(self.a4_moment),
-            "c1_n2": enc(self.c1_n2),
-            "c1_cross": enc(self.c1_cross),
-            "support_class": self.support_class,
-            "z_im_dispersion": self.z_im_dispersion,
-            "flags": dict(self.flags),
-            "model_fingerprint": self.model_fingerprint,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+    flags: dict
+    model_fingerprint: str
+    seed: int
+    n_samples: int
 
 
-def _stable(est: MomentEstimate, est_half: MomentEstimate, threshold: float) -> bool:
+def _stable(est: MomentEstimate, est_half: MomentEstimate) -> bool:
     a, b = est.value, est_half.value
     if a == b:
         return True
-    return abs(a - b) <= threshold * max(abs(a), 1e-300)
+    return abs(a - b) <= _STABLE_REL * max(abs(a), 1e-300)
 
 
 def _support_class(values: np.ndarray) -> str:
@@ -288,16 +248,15 @@ def _support_class(values: np.ndarray) -> str:
     return "complex"
 
 
-def check_assumptions(model, options: AnalysisOptions = AnalysisOptions()) -> AssumptionReport:
+def check_assumptions(model, n_samples: int = 100_000, seed: int = 0) -> AssumptionReport:
     """Evaluate A1-A4, C1, and the fixed-point support probe for a model.
 
-    All randomness is keyed off options.seed; the report is a deterministic
-    function of (model, options).
+    All randomness is keyed off seed; the report is a deterministic
+    function of (model, n_samples, seed).
     """
-    opts = options
     flags: dict[str, str] = {}
-    table = _DrawTable(model, opts.n_samples, philox(opts.seed, DOMAIN_ANALYSIS, 2))
-    half = slice(0, opts.n_samples // 2)
+    table = _DrawTable(model, n_samples, philox(seed, DOMAIN_ANALYSIS, 2))
+    half = slice(0, n_samples // 2)
 
     def estimate(per_draw: np.ndarray, what: str):
         """(estimate, flag) with the stabilization heuristic; overflow -> indeterminate."""
@@ -306,17 +265,16 @@ def check_assumptions(model, options: AnalysisOptions = AnalysisOptions()) -> As
             part = _mean_with_se(per_draw[half], "monte_carlo", what)
         except EstimateOverflowError:
             return None, "indeterminate"
-        ok = _stable(full, part, opts.stabilization_threshold)
+        ok = _stable(full, part)
         return full, ("pass" if ok else "indeterminate")
 
     # A1 / A2: supercriticality and the exponent
     alpha_res: AlphaResult | None = None
     try:
-        alpha_res = find_alpha(model, s_max=opts.s_max, tol=opts.tol,
-                               n=opts.n_samples, rng=philox(opts.seed, DOMAIN_ANALYSIS, 0))
+        alpha_res = find_alpha(model, n_samples, philox(seed, DOMAIN_ANALYSIS, 0))
         m0 = alpha_res.m0
-    except SubcriticalMeanError:
-        m0 = estimate_m(model, 0.0, opts.n_samples, philox(opts.seed, DOMAIN_ANALYSIS, 0)).value
+    except SubcriticalMeanError as exc:
+        m0 = exc.m0
     alpha = alpha_res.alpha if alpha_res is not None else None
     flags["A1"] = "pass" if m0 > 1.0 else "fail"
     flags["A2"] = "pass" if alpha is not None else "fail"
@@ -325,16 +283,12 @@ def check_assumptions(model, options: AnalysisOptions = AnalysisOptions()) -> As
     w1_est = a4_est = None
     if alpha is not None:
         m_prime_alpha = m_derivative(
-            model, alpha, opts.n_samples, philox(opts.seed, DOMAIN_ANALYSIS, 1)
+            model, alpha, n_samples, philox(seed, DOMAIN_ANALYSIS, 1)
         ).value
 
         # A3: negative drift and E[W_1 log_+ W_1] < inf, W_1 = sum |T_j|^alpha
         w1 = table.m_hat(alpha)
-        if np.isfinite(w1).all():
-            w1_stat = w1 * np.log(np.maximum(w1, 1.0))
-            w1_est, w1_flag = estimate(w1_stat, "W1 log+ W1")
-        else:
-            w1_est, w1_flag = None, "indeterminate"
+        w1_est, w1_flag = estimate(w1 * np.log(np.maximum(w1, 1.0)), "W1 log+ W1")
         if not m_prime_alpha < 0.0:
             flags["A3"] = "fail"
         else:
@@ -345,7 +299,7 @@ def check_assumptions(model, options: AnalysisOptions = AnalysisOptions()) -> As
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a4_stat = np.where(
                 z1_abs > 0.0,
-                z1_abs**alpha * np.log(np.maximum(z1_abs, 1.0)) ** (2.0 + opts.eps),
+                z1_abs**alpha * np.log(np.maximum(z1_abs, 1.0)) ** (2.0 + _EPS),
                 0.0,
             )
         a4_est, a4_flag = estimate(a4_stat, "|Z1|^alpha log moment")
@@ -366,14 +320,14 @@ def check_assumptions(model, options: AnalysisOptions = AnalysisOptions()) -> As
     flags["C1"] = max(n2_flag, cross_flag, key=order.__getitem__)
 
     # weight support class from the first draws of the table
-    k = min(opts.support_draws, opts.n_samples)
+    k = min(_SUPPORT_DRAWS, n_samples)
     support = _support_class(table.values[: int(table.offsets[k - 1] + table.counts[k - 1])])
 
     # Z1: the fixed point should not concentrate on the real line
-    z_seed = int(np.random.SeedSequence(opts.seed, spawn_key=(DOMAIN_ANALYSIS, 99)).generate_state(1, np.uint64)[0])
-    z_run = popdyn.run(model, n=opts.z_pool_size, K=opts.z_generations, seed=z_seed)
+    z_seed = int(np.random.SeedSequence(seed, spawn_key=(DOMAIN_ANALYSIS, 99)).generate_state(1, np.uint64)[0])
+    z_run = popdyn.run(model, n=_Z_POOL_SIZE, K=_Z_GENERATIONS, seed=z_seed)
     z_disp = float(z_run.pool.samples.imag.std())
-    flags["Z1"] = "pass" if z_disp > opts.z_im_threshold else "fail"
+    flags["Z1"] = "pass" if z_disp > _Z_IM_THRESHOLD else "fail"
 
     in_range = alpha is not None and DENSITY_ALPHA_RANGE[0] < alpha <= DENSITY_ALPHA_RANGE[1]
     return AssumptionReport(
@@ -391,6 +345,6 @@ def check_assumptions(model, options: AnalysisOptions = AnalysisOptions()) -> As
         z_im_dispersion=z_disp,
         flags=flags,
         model_fingerprint=fingerprint(model),
-        seed=opts.seed,
-        n_samples=opts.n_samples,
+        seed=seed,
+        n_samples=n_samples,
     )

@@ -11,6 +11,7 @@ runtime failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import AnalysisOptions, check_assumptions, find_alpha
+from .analysis import check_assumptions, find_alpha
 from .branching import estimate_martingale_mean
 from .density import DensityLine, grid_integral, kde2d
 from .fourier import decay_from_grid, polar_grid
@@ -73,9 +74,8 @@ def _floats(text: str, flag: str) -> list[float]:
 def _cmd_analyze(args) -> int:
     seed = _require_seed(args)
     model = _load_model(args.model)
-    opts = AnalysisOptions(n_samples=args.samples, seed=seed)
-    report = check_assumptions(model, opts)
-    out = io.write_json(args.out, report.as_dict())
+    report = check_assumptions(model, args.samples, seed)
+    out = io.write_json(args.out, dataclasses.asdict(report))
     io.write_manifest(out, args.argv, seed, fingerprint(model), outputs=[out])
     alpha = "none" if report.alpha is None else f"{report.alpha:.6f}"
     print(f"analyze: alpha={alpha} flags={report.flags} -> {out}")

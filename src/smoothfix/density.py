@@ -48,6 +48,8 @@ def _as_points(pool_or_samples) -> np.ndarray:
 
 
 def _axis_grid(data: np.ndarray, h: float, cells: int, extent) -> np.ndarray:
+    if cells < 2:
+        raise ValueError(f"a density grid needs at least 2 cells per axis, got {cells}")
     if extent is not None:
         lo, hi = float(extent[0]), float(extent[1])
         if not hi > lo:

@@ -64,6 +64,8 @@ class BigginsBinary(_WeightModel):
 
     def __init__(self, lam: complex):
         lam = complex(lam)
+        if not cmath.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam!r}")
         den = 2.0 * cmath.cosh(lam)
         if abs(den) < 1e-12:
             raise ValueError(f"cosh(lambda) vanishes at lambda = {lam!r}")

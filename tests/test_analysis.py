@@ -1,5 +1,6 @@
 """Moment estimation, exponent root finding, and the assumption report."""
 
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,6 @@ import pytest
 
 from smoothfix import BigginsBinary, CyclicPolya, Tabular
 from smoothfix.analysis import (
-    AnalysisOptions,
     EstimateOverflowError,
     SubcriticalMeanError,
     check_assumptions,
@@ -78,8 +78,10 @@ def test_find_alpha_monte_carlo_biggins():
 
 
 def test_find_alpha_subcritical_error():
-    with pytest.raises(SubcriticalMeanError, match="subcritical mean"):
-        find_alpha(Tabular([(1.0, (0.5,))]))
+    for method in ("closed_form", "monte_carlo"):
+        with pytest.raises(SubcriticalMeanError, match="subcritical mean") as info:
+            find_alpha(Tabular([(1.0, (0.5,))]), n=1_000, rng=0, method=method)
+        assert info.value.m0 == 1.0  # check_assumptions reports m(0) from here
 
 
 def test_find_alpha_no_root_returns_none():
@@ -99,7 +101,7 @@ def test_find_alpha_multiple_roots_flagged():
 
 
 def test_check_assumptions_polya8():
-    rep = check_assumptions(CyclicPolya(8), AnalysisOptions(n_samples=20_000, seed=7))
+    rep = check_assumptions(CyclicPolya(8), n_samples=20_000, seed=7)
     assert rep.alpha == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert rep.alpha_in_density_range
     assert not rep.multiple_roots
@@ -114,13 +116,13 @@ def test_check_assumptions_polya8():
 
 
 def test_check_assumptions_alpha_out_of_density_range():
-    rep = check_assumptions(CyclicPolya(5), AnalysisOptions(n_samples=5_000, seed=3))
+    rep = check_assumptions(CyclicPolya(5), n_samples=5_000, seed=3)
     assert rep.alpha == pytest.approx(1.0 / math.cos(2 * math.pi / 5), abs=1e-9)
     assert not rep.alpha_in_density_range
 
 
 def test_check_assumptions_subcritical_model_still_reports():
-    rep = check_assumptions(Tabular([(1.0, (1.0,))]), AnalysisOptions(n_samples=2_000, seed=5))
+    rep = check_assumptions(Tabular([(1.0, (1.0,))]), n_samples=2_000, seed=5)
     assert rep.m0 == 1.0
     assert rep.alpha is None
     assert rep.m_prime_alpha is None
@@ -132,18 +134,34 @@ def test_check_assumptions_subcritical_model_still_reports():
 
 
 def test_check_assumptions_deterministic_and_json_roundtrip():
-    opts = AnalysisOptions(n_samples=5_000, seed=42)
-    rep1 = check_assumptions(CyclicPolya(8), opts)
-    rep2 = check_assumptions(CyclicPolya(8), opts)
-    assert rep1.to_json() == rep2.to_json()
-    doc = json.loads(rep1.to_json())
-    assert doc == rep1.as_dict()
+    rep1 = check_assumptions(CyclicPolya(8), n_samples=5_000, seed=42)
+    rep2 = check_assumptions(CyclicPolya(8), n_samples=5_000, seed=42)
+    text = json.dumps(dataclasses.asdict(rep1), sort_keys=True)
+    assert text == json.dumps(dataclasses.asdict(rep2), sort_keys=True)
+    doc = json.loads(text)
+    assert doc == dataclasses.asdict(rep1)
     assert doc["model_fingerprint"] == rep1.model_fingerprint
+    assert doc["c1_n2"] == {"value": 4.0, "stderr": 0.0, "n_samples": 5_000,
+                            "method": "monte_carlo"}
 
 
 def test_real_weight_model_support_and_z_flag():
     model = Tabular([(0.5, (1.2,)), (0.5, (0.4, 0.4))])
-    rep = check_assumptions(model, AnalysisOptions(n_samples=5_000, seed=1))
+    rep = check_assumptions(model, n_samples=5_000, seed=1)
     assert rep.support_class == "positive_real"
     assert rep.flags["Z1"] == "fail"  # fixed point is real: no imaginary dispersion
     assert rep.z_im_dispersion == 0.0
+
+
+def test_monte_carlo_estimates_need_two_draws():
+    model = BigginsBinary(1.0)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            estimate_m(model, 1.0, n=n, rng=0, method="monte_carlo")
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            m_derivative(model, 1.0, n=n, rng=0, method="monte_carlo")
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            find_alpha(model, n=n, rng=0, method="monte_carlo")
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            check_assumptions(model, n_samples=n, seed=0)
+    assert check_assumptions(model, n_samples=2, seed=0).n_samples == 2

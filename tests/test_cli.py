@@ -1,5 +1,6 @@
 """End-to-end command-line checks driven through main()."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from smoothfix import io
+from smoothfix import CyclicPolya, io
+from smoothfix.analysis import check_assumptions
 from smoothfix.cli import main
 from smoothfix.popdyn import SamplePool
 from smoothfix.rng import philox
@@ -78,6 +80,21 @@ def test_analyze_writes_report_and_manifest(capsys, tmp_path, polya_cfg):
     assert manifest["seed"] == 5
     assert manifest["model_fingerprint"]
     assert manifest["version"]
+    # the CLI writes exactly the library report
+    rep = check_assumptions(CyclicPolya(8), 2000, 5)
+    assert out.read_text() == json.dumps(dataclasses.asdict(rep), sort_keys=True, indent=2) + "\n"
+
+
+def test_analyze_rejects_fewer_than_two_samples(capsys, tmp_path, polya_cfg):
+    for samples in ("0", "1"):
+        out = tmp_path / f"report{samples}.json"
+        argv = ["analyze", "--model", polya_cfg, "--seed", "5",
+                "--samples", samples, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("smoothfix: ") and "at least 2 draws" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_sample_rerun_is_byte_identical(tmp_path, polya_cfg, capsys):
@@ -160,6 +177,15 @@ def test_density_grid_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "x,y,value"
     assert len(lines) == 1 + 48 * 48
+
+
+def test_density_rejects_grid_below_two_cells(tmp_path, capsys):
+    pool_path = _write_gaussian_pool(tmp_path)
+    out = tmp_path / "den.csv"
+    for grid in ("0", "1"):
+        assert main(["density", "--pool", pool_path, "--grid", grid, "--out", str(out)]) == 1
+        assert "at least 2 cells" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_density_bandwidth_flag(tmp_path, capsys):

@@ -108,3 +108,15 @@ def test_bandwidth_validation():
         kde1d(np.arange(200.0), bandwidth=-1.0)
     with pytest.raises(ValueError, match="positive"):
         kde2d(np.arange(200) * (1 + 1j), bandwidth=(1.0, 0.0))
+
+
+def test_grid_needs_two_cells():
+    z = philox(5, 0).standard_normal(200) * (1 + 1j)
+    for cells in (-1, 0, 1):
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            kde1d(z.real, cells=cells)
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            kde2d(z, cells=cells)
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            kde2d(z.real + 0j, cells=cells)  # the 1-d fallback path
+    assert kde2d(z, cells=2).values.shape == (2, 2)

@@ -35,6 +35,12 @@ def test_biggins_rejects_vanishing_cosh():
         BigginsBinary(1j * math.pi / 2)
 
 
+def test_biggins_rejects_non_finite_lambda():
+    for lam in (float("nan"), float("inf"), complex(math.inf, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            BigginsBinary(lam)
+
+
 def test_biggins_m_closed_form():
     model = BigginsBinary(1.0)
     assert model.m_closed_form(0.0) == pytest.approx(2.0, abs=1e-15)
