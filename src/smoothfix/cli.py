@@ -192,9 +192,9 @@ def _cmd_figures(args) -> int:
     for name, cfg in _figure_models():
         model = model_from_config({"model": cfg})
         result = popdyn.run(model, n=n, K=k, seed=seed)
+        den = kde2d(result.pool, cells=args.grid)  # before any write, so a failure leaves none
         pool_path = io.write_pool_csv(outdir / f"{name}_pool.csv",
                                       result.pool, result.summaries, result.p)
-        den = kde2d(result.pool, cells=args.grid)
         den_path = io.write_density_csv(outdir / f"{name}_density.csv", den)
         io.write_manifest(outdir / f"{name}.csv", args.argv, seed, fingerprint(model),
                           outputs=[pool_path, den_path],

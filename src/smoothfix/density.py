@@ -2,9 +2,26 @@
 
 The 2-d estimator treats a complex pool as points (Re z, Im z) and uses a
 separable product kernel with per-axis Silverman bandwidths
-1.06 * std * n^(-1/6) (n^(-1/5) in one dimension).  Separability turns
-evaluation on a rectangular grid into one matrix product per sample
-chunk, so million-sample pools stay cheap.
+1.06 * std * n^(-1/6) (n^(-1/5) in one dimension).
+
+kde2d bins before it evaluates (linear binning: Silverman 1982, Appl.
+Stat. 31, AS 176; Wand 1994, J. Comput. Graph. Stat. 3(4)).  Each axis
+gets a fine grid whose spacing divides the output step and is at most
+h/16, so every output node is also a fine node; the fine grid reaches
+9h past the output extent.  Every sample spreads its unit mass over its
+4 surrounding fine nodes with bilinear weights, and the density is
+K_x @ W @ K_y.T / n for the mass grid W and the kernel matrices K_x, K_y
+between output and fine nodes.  Past one binning pass, time and memory
+do not depend on the sample count.  A sample outside the fine grid adds
+at most e^-40.5 of the kernel peak anywhere on the output grid, so it
+is dropped but still counts in the 1/n.  Against the exact per-sample
+sum, max |binned - exact| / peak measured at most 2.9e-4 on the six
+figure pools at n = 10^4 and 3.5e-4 at n = 10^5 (K = 50, seed 1), and
+5.4e-4 on biggins_tilt23 at n = 10^6, K = 100.  When the mass grid
+would exceed 2^23 cells (a bandwidth far below the output step, or far
+above the extent) kde2d takes the exact sum instead, in sample chunks
+whose kernel matrices hold 2^23 entries at 256 cells.  kde1d is always
+exact.
 
 A pool whose imaginary (or real) part is exactly constant has no 2-d
 density; kde2d then falls back to a 1-d estimate on the other axis and
@@ -15,10 +32,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_FINE_PER_H = 16  # fine-grid spacing is at most h / _FINE_PER_H
+_MARGIN_H = 9.0  # the fine grid reaches this many bandwidths past the extent
+_MASS_BUDGET = 1 << 23  # most mass-grid cells before kde2d takes the exact path
+_BIN_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -52,13 +74,67 @@ def _axis_grid(data: np.ndarray, h: float, cells: int, extent) -> np.ndarray:
         raise ValueError(f"a density grid needs at least 2 cells per axis, got {cells}")
     if extent is not None:
         lo, hi = float(extent[0]), float(extent[1])
-        if not hi > lo:
-            raise ValueError(f"empty grid extent ({lo}, {hi})")
     else:
         mid = float(data.mean())
         span = 4.0 * max(float(data.std()), h)
         lo, hi = mid - span, mid + span
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise ValueError(f"grid extent must be finite, got ({lo}, {hi})")
+    if not hi > lo:
+        raise ValueError(f"empty grid extent ({lo}, {hi})")
     return np.linspace(lo, hi, cells)
+
+
+class _FineAxis(NamedTuple):
+    """Binning grid on one axis: node k sits at origin + (k - pad) * spacing.
+
+    origin is the first output node and the output step is a whole number
+    of spacings, so every output node is a fine node.
+    """
+
+    origin: float
+    pad: int
+    spacing: float
+    count: int
+
+    def index(self, v: np.ndarray) -> np.ndarray:
+        return (v - self.origin) / self.spacing + self.pad
+
+    def nodes(self) -> np.ndarray:
+        return self.origin + (np.arange(self.count) - self.pad) * self.spacing
+
+
+def _fine_axis(grid: np.ndarray, h: float) -> _FineAxis | None:
+    """Spacing at most h / _FINE_PER_H, reaching _MARGIN_H * h past the grid.
+
+    None when this axis alone would exceed the mass-grid budget.
+    """
+    cells = grid.shape[0]
+    step = (grid[-1] - grid[0]) / (cells - 1)
+    if not (_FINE_PER_H * step / h <= _MASS_BUDGET and _MARGIN_H * h / step <= _MASS_BUDGET):
+        return None
+    m = math.ceil(_FINE_PER_H * step / h)
+    spacing = step / m
+    pad = math.ceil(_MARGIN_H * h / spacing)
+    return _FineAxis(float(grid[0]), pad, spacing, (cells - 1) * m + 1 + 2 * pad)
+
+
+def _mass_grid(xs, ys, fx: _FineAxis, fy: _FineAxis) -> np.ndarray:
+    """Bilinear binning of unit sample masses onto the fine nodes."""
+    nx, ny = fx.count, fy.count
+    mass = np.zeros(nx * ny)
+    for a in range(0, xs.shape[0], _BIN_CHUNK):
+        tx = fx.index(xs[a : a + _BIN_CHUNK])
+        ty = fy.index(ys[a : a + _BIN_CHUNK])
+        keep = (tx >= 0) & (tx < nx - 1) & (ty >= 0) & (ty < ny - 1)
+        tx, ty = tx[keep], ty[keep]
+        ix, iy = tx.astype(np.int64), ty.astype(np.int64)
+        wx, wy = tx - ix, ty - iy
+        flat = ix * ny + iy
+        cells = np.concatenate([flat, flat + 1, flat + ny, flat + ny + 1])
+        weights = np.concatenate([(1 - wx) * (1 - wy), (1 - wx) * wy, wx * (1 - wy), wx * wy])
+        mass += np.bincount(cells, weights, minlength=nx * ny)
+    return mass.reshape(nx, ny)
 
 
 def _kernel_matrix(grid: np.ndarray, data: np.ndarray, h: float) -> np.ndarray:
@@ -76,6 +152,18 @@ def _eval_2d(xg, yg, xs, ys, hx, hy, chunk: int = 1 << 15) -> np.ndarray:
     return out
 
 
+def _binned_2d(xg, yg, xs, ys, hx, hy) -> np.ndarray:
+    fx, fy = _fine_axis(xg, hx), _fine_axis(yg, hy)
+    if fx is None or fy is None or fx.count * fy.count > _MASS_BUDGET:
+        return _eval_2d(xg, yg, xs, ys, hx, hy)
+    mass = _mass_grid(xs, ys, fx, fy)
+    kx = _kernel_matrix(xg, fx.nodes(), hx)
+    ky = _kernel_matrix(yg, fy.nodes(), hy)
+    values = (kx @ mass) @ ky.T
+    values /= xs.shape[0]
+    return values
+
+
 def kde1d(samples, cells: int = 256, extent=None, bandwidth: float | None = None) -> DensityLine:
     """1-d Gaussian KDE of real samples on a uniform grid."""
     data = np.asarray(samples, dtype=np.float64)
@@ -90,8 +178,8 @@ def kde1d(samples, cells: int = 256, extent=None, bandwidth: float | None = None
             raise ValueError("samples are constant; pass an explicit bandwidth")
         bandwidth = 1.06 * sd * n ** (-1.0 / 5.0)
     h = float(bandwidth)
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
     grid = _axis_grid(data, h, int(cells), extent)
     values = np.zeros(grid.shape[0])
     chunk = 1 << 15
@@ -129,12 +217,12 @@ def kde2d(pool, cells: int = 256, extent=None, bandwidth=None):
         hy = 1.06 * sy * n ** (-1.0 / 6.0)
     else:
         hx, hy = float(bandwidth[0]), float(bandwidth[1])
-    if not (hx > 0 and hy > 0):
-        raise ValueError(f"bandwidths must be positive, got ({hx}, {hy})")
+    if not all(math.isfinite(h) and h > 0 for h in (hx, hy)):
+        raise ValueError(f"bandwidths must be positive and finite, got ({hx}, {hy})")
     ex, ey = (None, None) if extent is None else (extent[0], extent[1])
     xg = _axis_grid(xs, hx, int(cells), ex)
     yg = _axis_grid(ys, hy, int(cells), ey)
-    values = _eval_2d(xg, yg, xs, ys, hx, hy)
+    values = _binned_2d(xg, yg, xs, ys, hx, hy)
     return DensityGrid(xg, yg, values, (hx, hy), n)
 
 

@@ -66,12 +66,18 @@ class BigginsBinary(_WeightModel):
         lam = complex(lam)
         if not cmath.isfinite(lam):
             raise ValueError(f"lambda must be finite, got {lam!r}")
-        den = 2.0 * cmath.cosh(lam)
+        try:
+            den = 2.0 * cmath.cosh(lam)
+            t_plus, t_minus = cmath.exp(-lam) / den, cmath.exp(lam) / den
+        except OverflowError:  # cosh or exp overflowed
+            den = complex(math.inf)
+        if not cmath.isfinite(den):
+            raise ValueError(f"lambda is out of range: cosh(lambda) overflows at lambda = {lam!r}")
         if abs(den) < 1e-12:
             raise ValueError(f"cosh(lambda) vanishes at lambda = {lam!r}")
         self.lam = lam
-        self._t_plus = cmath.exp(-lam) / den
-        self._t_minus = cmath.exp(lam) / den
+        self._t_plus = t_plus
+        self._t_minus = t_minus
         self._log_abs_cosh = math.log(abs(cmath.cosh(lam)))
 
     def __repr__(self) -> str:

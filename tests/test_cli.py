@@ -188,6 +188,26 @@ def test_density_rejects_grid_below_two_cells(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_density_rejects_non_finite_bandwidth(tmp_path, capsys):
+    pool_path = _write_gaussian_pool(tmp_path)
+    out = tmp_path / "den.csv"
+    # 1e308 is finite, but four bandwidths of grid extent overflow
+    for bandwidth in ("inf", "1e308"):
+        assert main(["density", "--pool", pool_path, "--bandwidth", bandwidth,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("smoothfix:") and "finite" in err
+        assert not out.exists()
+
+
+def test_figures_failure_leaves_no_pool(tmp_path, capsys):
+    outdir = tmp_path / "figs"
+    assert main(["figures", "--desk", "--seed", "1", "--grid", "1",
+                 "--outdir", str(outdir)]) == 1
+    assert "at least 2 cells" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []  # no pool, meta or manifest
+
+
 def test_density_bandwidth_flag(tmp_path, capsys):
     pool_path = _write_gaussian_pool(tmp_path, n=50)  # too small for Silverman
     out = tmp_path / "den.csv"

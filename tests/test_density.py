@@ -1,12 +1,15 @@
 """Gaussian-product KDE and grid integrals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from smoothfix import CyclicPolya, Tabular
-from smoothfix.density import DensityGrid, DensityLine, grid_integral, kde1d, kde2d
+from smoothfix.cli import _figure_models
+from smoothfix.density import DensityGrid, DensityLine, _eval_2d, grid_integral, kde1d, kde2d
+from smoothfix.model import model_from_config
 from smoothfix.popdyn import run
 from smoothfix.rng import philox
 
@@ -120,3 +123,76 @@ def test_grid_needs_two_cells():
         with pytest.raises(ValueError, match="at least 2 cells"):
             kde2d(z.real + 0j, cells=cells)  # the 1-d fallback path
     assert kde2d(z, cells=2).values.shape == (2, 2)
+
+
+def test_non_finite_bandwidth_and_extent_rejected():
+    z = philox(6, 0).standard_normal(200) * (1 + 1j)
+    for h in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            kde1d(z.real, bandwidth=h)
+        with pytest.raises(ValueError, match="finite"):
+            kde2d(z, bandwidth=(1.0, h))
+    # 4 h overflows the default extent
+    with pytest.raises(ValueError, match="extent must be finite"):
+        kde1d(z.real, bandwidth=1e308)
+    with pytest.raises(ValueError, match="extent must be finite"):
+        kde2d(z, bandwidth=(1e308, 1e308))
+    with pytest.raises(ValueError, match="extent must be finite"):
+        kde1d(z.real, extent=(-math.inf, 1.0), bandwidth=1.0)
+    with pytest.raises(ValueError, match="extent must be finite"):
+        kde2d(z, extent=((-1.0, 1.0), (-1e308, 1e308)), bandwidth=(1.0, 1.0))
+
+
+def _exact(grid, z):
+    return _eval_2d(grid.x, grid.y, z.real, z.imag, *grid.bandwidth)
+
+
+def test_binned_matches_exact_on_figure_pools():
+    for name, cfg in _figure_models():
+        pool = run(model_from_config({"model": cfg}), n=10_000, K=50, seed=1).pool
+        est = kde2d(pool)
+        exact = _exact(est, pool.samples)
+        assert np.abs(est.values - exact).max() <= 1e-3 * exact.max(), name
+
+
+def test_binning_margin():
+    rng = philox(23, 0)
+    h, n0 = 0.3, 2000
+    z0 = rng.standard_normal(n0) + 1j * rng.standard_normal(n0)
+    ext = ((-3.0, 3.0), (-3.0, 3.0))
+    inside = kde2d(z0, cells=64, extent=ext, bandwidth=(h, h))
+    # 2 h past the right edge: outside the output grid, inside the 9 h margin;
+    # their share of the exact density exceeds 5 % of its peak at the edge
+    near = np.concatenate([z0, 3.0 + 2 * h + 0.1j * rng.standard_normal(500)])
+    est = kde2d(near, cells=64, extent=ext, bandwidth=(h, h))
+    exact = _exact(est, near)
+    added = exact - _exact(inside, z0) * (n0 / near.shape[0])
+    assert added[-1].max() > 0.05 * exact.max()
+    assert np.abs(est.values - exact).max() <= 1e-3 * exact.max()
+    # 20 h past the edge: beyond the fine grid, dropped but counted in 1/n
+    far = np.concatenate([z0, 3.0 + 20 * h + 1j * rng.uniform(-3.0, 3.0, 500)])
+    est = kde2d(far, cells=64, extent=ext, bandwidth=(h, h))
+    share = n0 / far.shape[0]
+    assert np.allclose(est.values, inside.values * share, rtol=1e-12, atol=0.0)
+    assert grid_integral(est) == pytest.approx(grid_integral(inside) * share, rel=1e-12)
+
+
+def test_mass_grid_over_budget_takes_exact_path():
+    z = philox(24, 0).standard_normal(1000) * (1 + 1j)
+    for bw in ((1e-3, 1e-3), (1e-3, 0.3)):
+        est = kde2d(z, cells=256, extent=((-4.0, 4.0), (-4.0, 4.0)), bandwidth=bw)
+        assert np.array_equal(est.values, _exact(est, z))
+
+
+def test_kde2d_memory_bounded():
+    # the per-sample path held two 256 x 32768 kernel chunks and their
+    # temporaries, 256.5 MiB; the mass grid does not grow with n
+    rng = philox(25, 0)
+    z = rng.standard_normal(1_000_000) + 1j * rng.standard_normal(1_000_000)
+    tracemalloc.start()
+    try:
+        kde2d(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20

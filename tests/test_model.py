@@ -41,6 +41,17 @@ def test_biggins_rejects_non_finite_lambda():
             BigginsBinary(lam)
 
 
+def test_biggins_rejects_lambda_out_of_range():
+    for lam in (1000.0, -1000.0, 710.0):
+        with pytest.raises(ValueError, match="out of range.*lambda = "):
+            BigginsBinary(lam)
+    with pytest.raises(ConfigError, match="out of range.*1000"):
+        model_from_config({"model": {"type": "biggins", "lambda": 1000}})
+    # still in range: the weights are about (0, 1)
+    values, _ = BigginsBinary(700.0).weights_from_uniforms(np.array([[0.1, 0.9]]))
+    assert values[0] == 0.0 and values[1] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_biggins_m_closed_form():
     model = BigginsBinary(1.0)
     assert model.m_closed_form(0.0) == pytest.approx(2.0, abs=1e-15)
