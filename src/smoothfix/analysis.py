@@ -1,7 +1,7 @@
 """Moment analysis of weight models.
 
-Computes m(s) = E[sum_j |T_j|^s], its derivative, the characteristic
-exponent alpha solving m(alpha) = 1, and an assumption report covering
+Computes the characteristic exponent alpha solving m(alpha) = 1 for
+m(s) = E[sum_j |T_j|^s], and an assumption report covering
 supercriticality (A1), existence of alpha (A2), the negative-drift and
 W_1 log W_1 conditions (A3), the |Z_1|^alpha log-moment condition (A4),
 the offspring second-moment conditions (C1), and a support probe for the
@@ -10,11 +10,13 @@ fixed point (Z1).  The report's thresholds are fixed: alpha is searched in
 is read from the first 10^4 draws, and Z1 passes when a 2000-sample,
 10-generation pool has an imaginary-part spread above 1e-6.
 
-Monte Carlo paths reuse one common table of weight draws across all s, so
-estimated curves are smooth convex functions of s and bisection on them is
-well posed.  Moment finiteness is never provable from samples; it is
-flagged "pass" when the estimate stabilizes (relative change over the last
-doubling of the sample at most 5%) and "indeterminate" otherwise.
+alpha and m'(alpha) come from the model's closed forms.  Monte Carlo
+paths (the report's moments, find_alpha with method="monte_carlo") reuse
+one table of weight draws across all s, so estimated curves are smooth
+convex functions of s and bisection on them is well posed.  Moment
+finiteness is never provable from samples; it is flagged "pass" when the
+estimate stabilizes (relative change over the last doubling of the sample
+at most 5%) and "indeterminate" otherwise.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class MomentEstimate:
     value: float
     stderr: float
     n_samples: int
-    method: str  # "closed_form" | "monte_carlo"
+    method: str  # always "monte_carlo"; the report schema keeps the field
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class _DrawTable:
             return self.seg_sum(np.exp(s * self.log_abs) * self.log_abs)
 
 
-def _mean_with_se(per_draw: np.ndarray, method_s: str, what: str) -> MomentEstimate:
+def _mean_with_se(per_draw: np.ndarray, what: str) -> MomentEstimate:
     if not np.isfinite(per_draw).all():
         bad = int(np.flatnonzero(~np.isfinite(per_draw))[0])
         raise EstimateOverflowError(
@@ -107,18 +109,7 @@ def _mean_with_se(per_draw: np.ndarray, method_s: str, what: str) -> MomentEstim
     n = per_draw.shape[0]
     mean = float(per_draw.mean())
     se = float(per_draw.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MomentEstimate(mean, se, n, method_s)
-
-
-def _resolve_method(model, method: str) -> str:
-    has_closed = callable(getattr(model, "m_closed_form", None))
-    if method == "auto":
-        return "closed_form" if has_closed else "monte_carlo"
-    if method == "closed_form" and not has_closed:
-        raise ValueError(f"{model!r} has no closed-form moments")
-    if method not in ("closed_form", "monte_carlo"):
-        raise ValueError(f"unknown method {method!r}")
-    return method
+    return MomentEstimate(mean, se, n, "monte_carlo")
 
 
 def _require_rng(rng) -> np.random.Generator:
@@ -127,26 +118,6 @@ def _require_rng(rng) -> np.random.Generator:
     if isinstance(rng, (int, np.integer)):
         return philox(int(rng), DOMAIN_ANALYSIS, 0)
     raise ValueError("monte_carlo estimates need an explicit rng or integer seed")
-
-
-def estimate_m(model, s: float, n: int = 100_000, rng=None, method: str = "auto") -> MomentEstimate:
-    """Estimate m(s) = E[sum_j |T_j|^s]."""
-    how = _resolve_method(model, method)
-    if how == "closed_form":
-        value = model.m_closed_form(float(s))
-        return MomentEstimate(float(value), 0.0, 0, "closed_form")
-    table = _DrawTable(model, n, _require_rng(rng))
-    return _mean_with_se(table.m_hat(float(s)), "monte_carlo", f"m({s})")
-
-
-def m_derivative(model, s: float, n: int = 100_000, rng=None, method: str = "auto") -> MomentEstimate:
-    """Estimate m'(s) = E[sum_j |T_j|^s log |T_j|]."""
-    how = _resolve_method(model, method)
-    if how == "closed_form":
-        value = model.m_prime_closed_form(float(s))
-        return MomentEstimate(float(value), 0.0, 0, "closed_form")
-    table = _DrawTable(model, n, _require_rng(rng))
-    return _mean_with_se(table.m_hat_prime(float(s)), "monte_carlo", f"m'({s})")
 
 
 def _scan_grid() -> np.ndarray:
@@ -158,40 +129,42 @@ def _scan_grid() -> np.ndarray:
     return grid
 
 
-def find_alpha(model, n: int = 100_000, rng=None, method: str = "auto") -> AlphaResult:
+def find_alpha(model, n: int = 100_000, rng=None, method: str = "closed_form") -> AlphaResult:
     """Locate the characteristic exponent: the smallest root of m(s) = 1 in (0, 10].
 
     Scans a geometric grid for a sign change of m - 1 and bisects the
     bracket down to width 1e-9.  m is convex, so there are at most two
     roots; if m has returned above 1 by s = 10 the result carries
-    multiple_roots = True and alpha is the smaller root.
+    multiple_roots = True and alpha is the smaller root.  method is
+    "closed_form" (the model's m) or "monte_carlo" (the mean over n weight
+    draws from rng, an rng or an integer seed, with a delta-method stderr).
     """
-    how = _resolve_method(model, method)
-    if how == "closed_form":
+    if method == "closed_form":
         table = None
         m_of = model.m_closed_form
         m0 = float(m_of(0.0))
-    else:
+    elif method == "monte_carlo":
         table = _DrawTable(model, n, _require_rng(rng))
         m0 = float(table.counts.mean())
 
         def m_of(s: float) -> float:
             return float(table.m_hat(s).mean())
+    else:
+        raise ValueError(f"unknown method {method!r}")
 
     if not m0 > 1.0:
         raise SubcriticalMeanError(m0)
 
     grid = _scan_grid()
-    lo, f_lo = 0.0, m0 - 1.0
+    lo = 0.0
     hi = None
     for s in grid:
-        f_s = m_of(float(s)) - 1.0
-        if f_s <= 0.0:
+        if m_of(float(s)) - 1.0 <= 0.0:
             hi = float(s)
             break
-        lo, f_lo = float(s), f_s
+        lo = float(s)
     if hi is None:
-        return AlphaResult(None, 0.0, False, how, m0)
+        return AlphaResult(None, 0.0, False, method, m0)
 
     for _ in range(200):
         if hi - lo <= _TOL:
@@ -212,7 +185,7 @@ def find_alpha(model, n: int = 100_000, rng=None, method: str = "auto") -> Alpha
         se_m = float(per_draw.std(ddof=1) / math.sqrt(table.n))
         slope = float(table.m_hat_prime(alpha).mean())
         stderr = se_m / abs(slope) if slope != 0.0 else math.inf
-    return AlphaResult(alpha, stderr, multiple, how, m0)
+    return AlphaResult(alpha, stderr, multiple, method, m0)
 
 
 @dataclass(frozen=True)
@@ -261,8 +234,8 @@ def check_assumptions(model, n_samples: int = 100_000, seed: int = 0) -> Assumpt
     def estimate(per_draw: np.ndarray, what: str):
         """(estimate, flag) with the stabilization heuristic; overflow -> indeterminate."""
         try:
-            full = _mean_with_se(per_draw, "monte_carlo", what)
-            part = _mean_with_se(per_draw[half], "monte_carlo", what)
+            full = _mean_with_se(per_draw, what)
+            part = _mean_with_se(per_draw[half], what)
         except EstimateOverflowError:
             return None, "indeterminate"
         ok = _stable(full, part)
@@ -271,7 +244,7 @@ def check_assumptions(model, n_samples: int = 100_000, seed: int = 0) -> Assumpt
     # A1 / A2: supercriticality and the exponent
     alpha_res: AlphaResult | None = None
     try:
-        alpha_res = find_alpha(model, n_samples, philox(seed, DOMAIN_ANALYSIS, 0))
+        alpha_res = find_alpha(model)
         m0 = alpha_res.m0
     except SubcriticalMeanError as exc:
         m0 = exc.m0
@@ -282,9 +255,7 @@ def check_assumptions(model, n_samples: int = 100_000, seed: int = 0) -> Assumpt
     m_prime_alpha = None
     w1_est = a4_est = None
     if alpha is not None:
-        m_prime_alpha = m_derivative(
-            model, alpha, n_samples, philox(seed, DOMAIN_ANALYSIS, 1)
-        ).value
+        m_prime_alpha = float(model.m_prime_closed_form(alpha))
 
         # A3: negative drift and E[W_1 log_+ W_1] < inf, W_1 = sum |T_j|^alpha
         w1 = table.m_hat(alpha)

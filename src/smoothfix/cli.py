@@ -25,7 +25,7 @@ from .branching import estimate_martingale_mean
 from .density import DensityLine, grid_integral, kde2d
 from .fourier import decay_from_grid, polar_grid
 from .model import ConfigError, fingerprint, model_from_config
-from .rng import DOMAIN_ANALYSIS, DOMAIN_BRANCHING, philox
+from .rng import DOMAIN_BRANCHING, philox
 from . import io, popdyn
 
 
@@ -103,7 +103,7 @@ def _cmd_martingale(args) -> int:
     if args.alpha is not None:
         alpha = float(args.alpha)
     else:
-        res = find_alpha(model, rng=philox(seed, DOMAIN_ANALYSIS, 0))
+        res = find_alpha(model)
         if res.alpha is None:
             raise CliError("no characteristic exponent found in (0, 10]; pass --alpha")
         alpha = res.alpha

@@ -17,11 +17,20 @@ at most e^-40.5 of the kernel peak anywhere on the output grid, so it
 is dropped but still counts in the 1/n.  Against the exact per-sample
 sum, max |binned - exact| / peak measured at most 2.9e-4 on the six
 figure pools at n = 10^4 and 3.5e-4 at n = 10^5 (K = 50, seed 1), and
-5.4e-4 on biggins_tilt23 at n = 10^6, K = 100.  When the mass grid
-would exceed 2^23 cells (a bandwidth far below the output step, or far
-above the extent) kde2d takes the exact sum instead, in sample chunks
-whose kernel matrices hold 2^23 entries at 256 cells.  kde1d is always
-exact.
+5.4e-4 on biggins_tilt23 at n = 10^6, K = 100.
+
+kde2d takes the exact per-sample sum instead when its matrix product is
+the smaller one: the exact product costs len(x) * n * len(y)
+multiply-adds and the larger binned one len(x) * cells, for the number
+of mass-grid cells, so the exact sum is taken when n * len(y) <= cells.
+With Silverman bandwidths and 256 cells this ratio depends only on n; it
+crosses 1 near n = 2750 and reads 1.90 at n = 10^4.  On Gaussian pools
+(best of 21 runs per step, 2 vCPUs) exact took 5.1 against 13 ms binned
+at n = 1000 (ratio 0.32), 9.4 against 8.8 ms at n = 2000 (0.70) and 16.8
+against 8.0 ms at n = 3000 (1.11).  The exact sum is also taken when the
+mass grid would exceed 2^23 cells (a bandwidth far below the output
+step, or far above the extent).  It runs in sample chunks whose kernel
+matrices hold 2^23 entries at 256 cells.  kde1d is always exact.
 
 A pool whose imaginary (or real) part is exactly constant has no 2-d
 density; kde2d then falls back to a 1-d estimate on the other axis and
@@ -41,6 +50,7 @@ _FINE_PER_H = 16  # fine-grid spacing is at most h / _FINE_PER_H
 _MARGIN_H = 9.0  # the fine grid reaches this many bandwidths past the extent
 _MASS_BUDGET = 1 << 23  # most mass-grid cells before kde2d takes the exact path
 _BIN_CHUNK = 1 << 18
+_EXACT_CHUNK = 1 << 15  # samples per kernel matrix on the exact paths
 
 
 @dataclass(frozen=True)
@@ -142,11 +152,11 @@ def _kernel_matrix(grid: np.ndarray, data: np.ndarray, h: float) -> np.ndarray:
     return np.exp(-0.5 * u * u) / (h * _SQRT2PI)
 
 
-def _eval_2d(xg, yg, xs, ys, hx, hy, chunk: int = 1 << 15) -> np.ndarray:
+def _eval_2d(xg, yg, xs, ys, hx, hy) -> np.ndarray:
     n = xs.shape[0]
     out = np.zeros((xg.shape[0], yg.shape[0]))
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
+    for a in range(0, n, _EXACT_CHUNK):
+        b = min(a + _EXACT_CHUNK, n)
         out += _kernel_matrix(xg, xs[a:b], hx) @ _kernel_matrix(yg, ys[a:b], hy).T
     out /= n
     return out
@@ -154,7 +164,9 @@ def _eval_2d(xg, yg, xs, ys, hx, hy, chunk: int = 1 << 15) -> np.ndarray:
 
 def _binned_2d(xg, yg, xs, ys, hx, hy) -> np.ndarray:
     fx, fy = _fine_axis(xg, hx), _fine_axis(yg, hy)
-    if fx is None or fy is None or fx.count * fy.count > _MASS_BUDGET:
+    cells = math.inf if fx is None or fy is None else fx.count * fy.count
+    # multiply-adds over len(xg): n * len(yg) exact, cells for K_x @ W binned
+    if cells > _MASS_BUDGET or xs.shape[0] * yg.shape[0] <= cells:
         return _eval_2d(xg, yg, xs, ys, hx, hy)
     mass = _mass_grid(xs, ys, fx, fy)
     kx = _kernel_matrix(xg, fx.nodes(), hx)
@@ -182,9 +194,8 @@ def kde1d(samples, cells: int = 256, extent=None, bandwidth: float | None = None
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
     grid = _axis_grid(data, h, int(cells), extent)
     values = np.zeros(grid.shape[0])
-    chunk = 1 << 15
-    for a in range(0, n, chunk):
-        values += _kernel_matrix(grid, data[a : a + chunk], h).sum(axis=1)
+    for a in range(0, n, _EXACT_CHUNK):
+        values += _kernel_matrix(grid, data[a : a + _EXACT_CHUNK], h).sum(axis=1)
     values /= n
     return DensityLine(grid, values, h, n)
 

@@ -250,8 +250,8 @@ def _check_radii(radii, increasing: bool) -> np.ndarray:
 
 
 def polar_grid(pool, radii, n_angles: int = 16, order: int = 0,
-               which: str = "d_xibar", threads: int | None = None) -> PolarGrid:
-    """Evaluate phi_hat (order 0) or a conj-derivative statistic on a polar grid.
+               threads: int | None = None) -> PolarGrid:
+    """Evaluate phi_hat (order 0) or the d/d conj(xi) statistic of order 1 or 2 on a polar grid.
 
     `threads` bounds the worker threads (None: every core this process may
     run on); the result does not depend on it.
@@ -262,7 +262,7 @@ def polar_grid(pool, radii, n_angles: int = 16, order: int = 0,
     z = _samples(pool)
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
     xis = (r[:, None] * np.exp(1j * angles)[None, :]).reshape(-1)
-    values, stderrs = _statistic(z, xis, _prefactor(z, order, which), threads)
+    values, stderrs = _statistic(z, xis, _prefactor(z, order), threads)
     shape = (r.shape[0], n_angles)
     return PolarGrid(r, angles, values.reshape(shape), stderrs.reshape(shape), order)
 

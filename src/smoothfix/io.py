@@ -68,6 +68,9 @@ def read_pool_csv(path) -> SamplePool:
     data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns re,im, got {data.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:  # data row i is line i + 2, after the header
+        raise ValueError(f"{path}: non-finite sample on line {int(bad[0]) + 2}")
     samples = data[:, 0] + 1j * data[:, 1]
     meta_path = pool_meta_path(path)
     generation, seed, fp = 0, None, ""

@@ -30,6 +30,12 @@ _LN2 = math.log(2.0)
 _TINY_U = 2.0**-53  # smallest positive uniform; polya clamps u = 0 to it
 
 
+def _ragged_positions(counts: np.ndarray) -> np.ndarray:
+    """Index of each entry within its row, for rows of the given lengths laid end to end."""
+    ends = np.cumsum(counts)
+    return np.arange(int(counts.sum())) - np.repeat(ends - counts, counts)
+
+
 class ConfigError(ValueError):
     """Malformed model configuration document."""
 
@@ -194,11 +200,8 @@ class Tabular(_WeightModel):
         u = np.asarray(u)[:, 0]
         idx = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._cum) - 1)
         counts = self._lens[idx]
-        total = int(counts.sum())
         # ragged gather of each selected atom's weight run
-        ends = np.cumsum(counts)
-        within = np.arange(total) - np.repeat(ends - counts, counts)
-        values = self._flat[np.repeat(self._offsets[idx], counts) + within]
+        values = self._flat[np.repeat(self._offsets[idx], counts) + _ragged_positions(counts)]
         return values, counts
 
     def m_closed_form(self, s: float) -> float:

@@ -27,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import fingerprint
+from .model import _ragged_positions, fingerprint
 from .rng import DOMAIN_POPDYN, padded_width, philox
+
+_CHUNK_ROWS = 1 << 16  # output rows per block of uniforms; bounds memory, not results
 
 
 class PoolOverflowError(ArithmeticError):
@@ -90,27 +92,23 @@ def _gather_used(block: np.ndarray, counts: np.ndarray) -> np.ndarray:
     c0 = int(counts[0])
     if (counts == c0).all():
         return block[:, :c0].reshape(-1)
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    within = np.arange(total) - np.repeat(ends - counts, counts)
     rows_flat = np.repeat(np.arange(rows), counts)
-    return block[rows_flat, within]
+    return block[rows_flat, _ragged_positions(counts)]
 
 
-def iterate(pool: SamplePool, model, rng: np.random.Generator,
-            chunk_rows: int = 1 << 16) -> SamplePool:
+def iterate(pool: SamplePool, model, rng: np.random.Generator) -> SamplePool:
     """Advance the pool one generation.
 
     Consumes rng row-major, padded_width(budget + max_children) uniforms
-    per output index; chunk_rows only controls memory, not results.
+    per output index, in blocks of _CHUNK_ROWS rows.
     """
     n = pool.n
     budget = model.uniform_budget
     max_c = model.max_children
     width = padded_width(budget + max_c)
     out = np.empty(n, dtype=np.complex128)
-    for start in range(0, n, chunk_rows):
-        stop = min(start + chunk_rows, n)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
         u = rng.random((stop - start, width))
         values, counts = model.weights_from_uniforms(u[:, :budget])
         iu = _gather_used(u[:, budget : budget + max_c], counts)
@@ -135,26 +133,29 @@ def _default_p(model) -> float:
     from .analysis import SubcriticalMeanError, find_alpha
 
     try:
-        res = find_alpha(model)
-        if res.method == "closed_form" and res.alpha is not None:
-            return max(res.alpha - 0.1, 0.5 * res.alpha)
-    except (SubcriticalMeanError, ValueError):
-        pass
-    return 1.0
+        alpha = find_alpha(model).alpha
+    except SubcriticalMeanError:
+        return 1.0
+    return 1.0 if alpha is None else max(alpha - 0.1, 0.5 * alpha)
 
 
-def _summarize(pool: SamplePool, p: float, cum_var: float) -> GenerationSummary:
+def _variances(pool: SamplePool) -> tuple[float, float]:
+    """Sample variances (ddof=1) of the real and imaginary parts."""
     z = pool.samples
-    n = z.shape[0]
-    mean = complex(z.mean())
-    var = float(z.real.var(ddof=1) + z.imag.var(ddof=1))
+    return float(z.real.var(ddof=1)), float(z.imag.var(ddof=1))
+
+
+def _summarize(pool: SamplePool, p: float, var: tuple[float, float],
+               cum_var: float) -> GenerationSummary:
+    z = pool.samples
+    var_re, var_im = var
     return GenerationSummary(
         generation=pool.generation,
-        mean=mean,
-        spread=math.sqrt(var),
-        mean_se=math.sqrt(cum_var / n),
+        mean=complex(z.mean()),
+        spread=math.sqrt(var_re + var_im),
+        mean_se=math.sqrt(cum_var / z.shape[0]),
         p_moment=float(np.mean(np.abs(z) ** p)),
-        im_dispersion=float(z.imag.std(ddof=1)),
+        im_dispersion=math.sqrt(var_im),
     )
 
 
@@ -177,12 +178,12 @@ def run(model, n: int, K: int, seed: int, p: float | None = None,
     if 0 in keep:
         snapshots[0] = pool
     cum_var = 0.0
-    summaries = [_summarize(pool, p, cum_var)]
+    summaries = [_summarize(pool, p, _variances(pool), cum_var)]
     for k in range(1, K + 1):
         pool = iterate(pool, model, philox(seed, DOMAIN_POPDYN, k))
-        z = pool.samples
-        cum_var += float(z.real.var(ddof=1) + z.imag.var(ddof=1))
-        summaries.append(_summarize(pool, p, cum_var))
+        var = _variances(pool)
+        cum_var += var[0] + var[1]
+        summaries.append(_summarize(pool, p, var, cum_var))
         if k in keep:
             snapshots[k] = pool
     return RunResult(pool=pool, summaries=tuple(summaries), snapshots=snapshots, p=p)

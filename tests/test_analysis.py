@@ -11,24 +11,26 @@ from smoothfix import BigginsBinary, CyclicPolya, Tabular
 from smoothfix.analysis import (
     EstimateOverflowError,
     SubcriticalMeanError,
+    _DrawTable,
+    _mean_with_se,
     check_assumptions,
-    estimate_m,
     find_alpha,
-    m_derivative,
 )
-from smoothfix.rng import philox
+from smoothfix.rng import DOMAIN_ANALYSIS, philox
+
+
+def _table(model, n, seed):
+    return _DrawTable(model, n, philox(seed, DOMAIN_ANALYSIS, 0))
 
 
 def test_estimate_m_closed_form_fields():
-    est = estimate_m(BigginsBinary(1.0), 2.0)
-    assert est.method == "closed_form"
-    assert est.stderr == 0.0 and est.n_samples == 0
-    assert est.value == pytest.approx(0.790012829192987, abs=1e-12)
+    assert BigginsBinary(1.0).m_closed_form(2.0) == pytest.approx(0.790012829192987, abs=1e-12)
+    res = find_alpha(BigginsBinary(1.0))
+    assert res.method == "closed_form" and res.stderr == 0.0
 
 
 def test_estimate_m_monte_carlo_agrees_with_closed_form():
-    model = BigginsBinary(1.0)
-    est = estimate_m(model, 2.0, n=200_000, rng=3, method="monte_carlo")
+    est = _mean_with_se(_table(BigginsBinary(1.0), 200_000, 3).m_hat(2.0), "m(2.0)")
     assert est.method == "monte_carlo"
     assert est.n_samples == 200_000
     assert est.stderr > 0
@@ -37,25 +39,25 @@ def test_estimate_m_monte_carlo_agrees_with_closed_form():
 
 def test_estimate_m_monte_carlo_tabular_matches_exact():
     model = Tabular([(0.5, (1.2,)), (0.5, (0.4, 0.4))])
-    est = estimate_m(model, 1.7, n=100_000, rng=9, method="monte_carlo")
+    est = _mean_with_se(_table(model, 100_000, 9).m_hat(1.7), "m(1.7)")
     assert abs(est.value - model.m_closed_form(1.7)) < 4 * est.stderr
 
 
 def test_estimate_m_requires_rng_for_monte_carlo():
     with pytest.raises(ValueError, match="rng"):
-        estimate_m(BigginsBinary(1.0), 1.0, method="monte_carlo")
+        find_alpha(BigginsBinary(1.0), method="monte_carlo")
 
 
 def test_estimate_m_overflow_reported():
     model = Tabular([(1.0, (1e200,))])
     with pytest.raises(EstimateOverflowError, match="indeterminate"):
-        estimate_m(model, 3.0, n=1000, rng=0, method="monte_carlo")
+        _mean_with_se(_table(model, 1000, 0).m_hat(3.0), "m(3.0)")
 
 
 def test_m_derivative_closed_and_monte_carlo():
     model = BigginsBinary(1.0)
-    assert m_derivative(model, 1.0).value == pytest.approx(-0.36533385508720756, abs=1e-12)
-    est = m_derivative(model, 1.0, n=200_000, rng=4, method="monte_carlo")
+    assert model.m_prime_closed_form(1.0) == pytest.approx(-0.36533385508720756, abs=1e-12)
+    est = _mean_with_se(_table(model, 200_000, 4).m_hat_prime(1.0), "m'(1.0)")
     assert abs(est.value - (-0.36533385508720756)) < 4 * est.stderr
 
 
@@ -82,6 +84,11 @@ def test_find_alpha_subcritical_error():
         with pytest.raises(SubcriticalMeanError, match="subcritical mean") as info:
             find_alpha(Tabular([(1.0, (0.5,))]), n=1_000, rng=0, method=method)
         assert info.value.m0 == 1.0  # check_assumptions reports m(0) from here
+
+
+def test_find_alpha_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'auto'"):
+        find_alpha(CyclicPolya(8), method="auto")
 
 
 def test_find_alpha_no_root_returns_none():
@@ -157,9 +164,7 @@ def test_monte_carlo_estimates_need_two_draws():
     model = BigginsBinary(1.0)
     for n in (0, 1):
         with pytest.raises(ValueError, match="at least 2 draws"):
-            estimate_m(model, 1.0, n=n, rng=0, method="monte_carlo")
-        with pytest.raises(ValueError, match="at least 2 draws"):
-            m_derivative(model, 1.0, n=n, rng=0, method="monte_carlo")
+            _table(model, n, 0)
         with pytest.raises(ValueError, match="at least 2 draws"):
             find_alpha(model, n=n, rng=0, method="monte_carlo")
         with pytest.raises(ValueError, match="at least 2 draws"):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +155,61 @@ def test_ecf_derivative_without_signal_is_runtime_error(tmp_path, capsys):
             "--radii", "5,10,20,50", "--out", str(tmp_path / "scan.csv")]
     assert main(argv) == 2
     assert "insufficient signal" in capsys.readouterr().err
+
+
+def _write_pool_with_row(tmp_path, row: str):
+    pool_path = _write_gaussian_pool(tmp_path, n=5)
+    lines = Path(pool_path).read_text().splitlines()
+    lines[3] = row  # the third data row
+    Path(pool_path).write_text("\n".join(lines) + "\n")
+    return pool_path
+
+
+def test_read_pool_csv_rejects_non_finite_samples(tmp_path):
+    for row in ("nan,0", "1,inf", "-inf,-inf"):
+        pool_path = _write_pool_with_row(tmp_path, row)
+        with pytest.raises(ValueError, match="non-finite sample on line 4") as info:
+            io.read_pool_csv(pool_path)
+        assert pool_path in str(info.value)
+
+
+def test_ecf_and_density_reject_non_finite_pool(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    for row in ("nan,0", "inf,1"):
+        pool_path = _write_pool_with_row(tmp_path, row)
+        for argv in (["ecf", "--pool", pool_path, "--radii", "1,2", "--angles", "8"],
+                     ["density", "--pool", pool_path, "--bandwidth", "0.5"]):
+            assert main(argv + ["--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("smoothfix:") and pool_path in err and "line 4" in err
+            assert not out.exists() and not io.manifest_path(out).exists()
+
+
+def test_threads_flag_does_not_change_outputs(tmp_path, polya_cfg, capsys):
+    # README: results never depend on --threads; manifests differ only in argv
+    pool_path = _write_gaussian_pool(tmp_path)
+    d = tmp_path
+    runs = [
+        (["analyze", "--model", polya_cfg, "--seed", "4", "--samples", "2000",
+          "--out", str(d / "report.json")], [d / "report.json"]),
+        (["sample", "--model", polya_cfg, "--seed", "4", "--pool-size", "500",
+          "--iterations", "5", "--out", str(d / "pool.csv")],
+         [d / "pool.csv", d / "pool.meta.json"]),
+        (["martingale", "--model", polya_cfg, "--seed", "4", "--depth", "4",
+          "--reps", "200", "--out", str(d / "mart.csv")], [d / "mart.csv"]),
+        (["density", "--pool", pool_path, "--grid", "32", "--out", str(d / "den.csv")],
+         [d / "den.csv"]),
+    ]
+    for argv, files in runs:
+        manifest = io.manifest_path(files[0])
+        assert main(argv + ["--threads", "1"]) == 0
+        data = [f.read_bytes() for f in files]
+        doc1 = json.loads(manifest.read_text())
+        assert main(argv + ["--threads", "3"]) == 0
+        assert [f.read_bytes() for f in files] == data, argv[0]
+        doc3 = json.loads(manifest.read_text())
+        assert doc1.pop("argv") != doc3.pop("argv")
+        assert doc1 == doc3, argv[0]
 
 
 def test_density_fallback_writes_line_csv(tmp_path, capsys):

@@ -156,21 +156,23 @@ def test_binned_matches_exact_on_figure_pools():
 
 
 def test_binning_margin():
+    # pools of 20000 + 5000 samples: n * 64 cells exceeds the 721^2 mass
+    # grid, so kde2d bins them rather than taking the exact sum
     rng = philox(23, 0)
-    h, n0 = 0.3, 2000
+    h, n0 = 0.3, 20_000
     z0 = rng.standard_normal(n0) + 1j * rng.standard_normal(n0)
     ext = ((-3.0, 3.0), (-3.0, 3.0))
     inside = kde2d(z0, cells=64, extent=ext, bandwidth=(h, h))
     # 2 h past the right edge: outside the output grid, inside the 9 h margin;
     # their share of the exact density exceeds 5 % of its peak at the edge
-    near = np.concatenate([z0, 3.0 + 2 * h + 0.1j * rng.standard_normal(500)])
+    near = np.concatenate([z0, 3.0 + 2 * h + 0.1j * rng.standard_normal(5000)])
     est = kde2d(near, cells=64, extent=ext, bandwidth=(h, h))
     exact = _exact(est, near)
     added = exact - _exact(inside, z0) * (n0 / near.shape[0])
     assert added[-1].max() > 0.05 * exact.max()
     assert np.abs(est.values - exact).max() <= 1e-3 * exact.max()
     # 20 h past the edge: beyond the fine grid, dropped but counted in 1/n
-    far = np.concatenate([z0, 3.0 + 20 * h + 1j * rng.uniform(-3.0, 3.0, 500)])
+    far = np.concatenate([z0, 3.0 + 20 * h + 1j * rng.uniform(-3.0, 3.0, 5000)])
     est = kde2d(far, cells=64, extent=ext, bandwidth=(h, h))
     share = n0 / far.shape[0]
     assert np.allclose(est.values, inside.values * share, rtol=1e-12, atol=0.0)
@@ -182,6 +184,17 @@ def test_mass_grid_over_budget_takes_exact_path():
     for bw in ((1e-3, 1e-3), (1e-3, 0.3)):
         est = kde2d(z, cells=256, extent=((-4.0, 4.0), (-4.0, 4.0)), bandwidth=bw)
         assert np.array_equal(est.values, _exact(est, z))
+    # 50000 * 256 exceeds the 857 x 13300 mass grid, which exceeds the budget
+    z = philox(24, 1).standard_normal(50_000) * (1 + 1j)
+    est = kde2d(z, cells=256, extent=((-4.0, 4.0), (-4.0, 4.0)), bandwidth=(0.3, 0.01))
+    assert np.array_equal(est.values, _exact(est, z))
+
+
+def test_small_pool_takes_exact_path():
+    # 50 * 256 is far below the mass-grid cells, so the exact sum is cheaper
+    z = philox(26, 0).standard_normal(50) * (1 + 1j)
+    est = kde2d(z, bandwidth=(1.0, 1.0))
+    assert np.array_equal(est.values, _exact(est, z))
 
 
 def test_kde2d_memory_bounded():

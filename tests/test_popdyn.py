@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothfix import BigginsBinary, CyclicPolya, Tabular
+from smoothfix import BigginsBinary, CyclicPolya, Tabular, popdyn
 from smoothfix.popdyn import PoolOverflowError, init_pool, iterate, run
 from smoothfix.rng import DOMAIN_POPDYN, padded_width, philox, uniform_rows
 
@@ -30,11 +30,13 @@ def test_run_deterministic():
     assert a.summaries == b.summaries
 
 
-def test_iterate_chunk_size_does_not_change_results():
+def test_iterate_chunk_size_does_not_change_results(monkeypatch):
     model = BigginsBinary(1.0 + 0.5j)
     pool = init_pool(257, 1.0)
-    out1 = iterate(pool, model, philox(9, DOMAIN_POPDYN, 1), chunk_rows=7)
-    out2 = iterate(pool, model, philox(9, DOMAIN_POPDYN, 1), chunk_rows=100_000)
+    monkeypatch.setattr(popdyn, "_CHUNK_ROWS", 7)
+    out1 = iterate(pool, model, philox(9, DOMAIN_POPDYN, 1))
+    monkeypatch.setattr(popdyn, "_CHUNK_ROWS", 100_000)
+    out2 = iterate(pool, model, philox(9, DOMAIN_POPDYN, 1))
     assert np.array_equal(out1.samples, out2.samples)
 
 
