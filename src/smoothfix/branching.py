@@ -50,6 +50,8 @@ def estimate_martingale_mean(model, alpha: float, depth: int, reps: int,
                              rng: np.random.Generator,
                              node_budget: int = 10_000_000) -> MartingaleMeans:
     """Estimate E[W_n] and E[Z_n] for n = 0..depth from independent replicas."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if reps < 30:
         raise ValueError(f"at least 30 replicas required for the standard errors, got {reps}")
     depths = [0]

@@ -125,7 +125,6 @@ def _cmd_ecf(args) -> int:
     pool = _load_pool(args.pool)
     radii = _floats(args.radii, "--radii")
     grid = polar_grid(pool, radii, args.angles, order=args.order, threads=args.threads)
-    out = io.write_scan_csv(args.out, grid)
     extra = {
         "order": args.order,
         "n_angles": args.angles,
@@ -134,10 +133,11 @@ def _cmd_ecf(args) -> int:
     }
     slope_note = ""
     if args.order >= 1:
-        decay = decay_from_grid(grid)  # InsufficientSignalError -> exit 2
+        decay = decay_from_grid(grid)  # InsufficientSignalError -> exit 2, nothing written
         extra.update(slope=decay.slope, kept=decay.kept.tolist(),
                      noise_floors=decay.floors.tolist())
         slope_note = f" slope={decay.slope:.3f}"
+    out = io.write_scan_csv(args.out, grid)
     io.write_manifest(out, args.argv, None, pool.model_fingerprint,
                       outputs=[out], extra=extra)
     print(f"ecf: {len(radii)} radii x {args.angles} angles order={args.order}"

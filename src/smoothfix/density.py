@@ -45,6 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .popdyn import _sample_array
+
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _FINE_PER_H = 16  # fine-grid spacing is at most h / _FINE_PER_H
 _MARGIN_H = 9.0  # the fine grid reaches this many bandwidths past the extent
@@ -69,14 +71,6 @@ class DensityLine:
     bandwidth: float
     n_samples: int
     axis: str = "re"  # which sample component the line estimates
-
-
-def _as_points(pool_or_samples) -> np.ndarray:
-    z = getattr(pool_or_samples, "samples", pool_or_samples)
-    z = np.asarray(z)
-    if z.ndim != 1 or z.shape[0] < 1:
-        raise ValueError("need a one-dimensional, nonempty sample array")
-    return z.astype(np.complex128, copy=False)
 
 
 def _axis_grid(data: np.ndarray, h: float, cells: int, extent) -> np.ndarray:
@@ -208,7 +202,7 @@ def kde2d(pool, cells: int = 256, extent=None, bandwidth=None):
     the other axis).  Explicit bandwidths disable both the sample-count
     requirement and the fallback.
     """
-    z = _as_points(pool)
+    z = _sample_array(pool)
     xs, ys = z.real, z.imag
     n = z.shape[0]
     if bandwidth is None:

@@ -15,13 +15,19 @@ float64.  Against float64 phases the inner ECF values differ by at most
 pool, n = 10^4, and the heavy-tailed biggins tilt-23 pool, n = 10^5 with
 max |z| = 85), far below the 1/sqrt(n) noise of the pools.
 
-All statistics go through one kernel that tiles frequencies x samples.
-Memory is bounded whatever the input size: each worker thread holds one
-tile, at most 4 MiB of buffers (two 1 MiB phase buffers and a 2 MiB
-complex one in float64), plus O(frequencies + samples) for inputs and
-results.  Threads take whole frequency tiles, and each frequency is
-summed in the same order whatever the tiling, so results are
-bit-identical for every thread count.
+All statistics go through one kernel that tiles frequencies x samples
+and sums prefac * e^{-i<xi,z>} per frequency.  Memory is bounded
+whatever the input size: each worker thread holds two 1 MiB phase
+buffers and, only with a prefactor (orders 1 and 2), a 2 MiB complex
+one, plus O(frequencies + samples) for inputs and results.  Threads take
+whole frequency tiles, and each frequency is summed in the same order
+whatever the tiling, so results are bit-identical for every thread count.
+
+Standard errors need only the mean: |e^{-i<xi,z>}| = 1, so sum_k |w_k|^2
+is P = n at order 0 and P = sum_k |prefac_k|^2 otherwise, for every xi,
+and stderr = sqrt(max(P - n |mean|^2, 0) / ((n - 1) n)).  At order 0 that
+is the classical ECF variance (1 - |phi_hat|^2) / n (Feuerverger &
+Mureika 1977) with the n / (n - 1) correction; one sample has stderr 0.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .popdyn import _sample_array
 from .rng import DOMAIN_FOURIER, philox
 
 # Samples reduced at a time.  It fixes the summation order of every
@@ -85,14 +92,6 @@ class DecayScan:
     order: int
 
 
-def _samples(pool_or_samples) -> np.ndarray:
-    z = getattr(pool_or_samples, "samples", pool_or_samples)
-    z = np.asarray(z, dtype=np.complex128)
-    if z.ndim != 1 or z.shape[0] < 1:
-        raise ValueError("need a one-dimensional, nonempty sample array")
-    return z
-
-
 def _prefactor(z: np.ndarray, order: int, which: str = "d_xibar") -> np.ndarray | None:
     if which not in ("d_xi", "d_xibar"):
         raise ValueError(f'which must be "d_xi" or "d_xibar", got {which!r}')
@@ -118,31 +117,31 @@ def _workers(threads: int | None) -> int:
 
 def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
                   dtype, threads: int | None) -> np.ndarray:
-    """Per-frequency sums over z of prefac * e^{-i<xi,z>}, tiled frequencies x samples.
+    """Per-frequency sums over z of prefac * e^{-i<xi,z>} (prefac None: 1), complex128.
 
     Phases, cosines and sines are computed in `dtype`; every sum is taken
-    in float64.  For float64 the rows are the sums of Re e, Im e, (Re e)^2
-    and (Im e)^2; for float32 (no prefac) they are the sums of cos and sin.
+    in float64.  Without a prefactor the cosines are summed into the real
+    parts and the sines subtracted from the imaginary parts; with one,
+    each tile builds prefac * (cos - i sin) in a complex buffer first.
     Each tile of frequencies walks the samples in _CHUNK-wide pieces and
     reduces each piece per frequency, so a frequency's summation order,
     and with it every output bit, does not depend on the tiling or on the
     number of threads.  Worker threads take whole tiles and write disjoint
-    columns of the result.
+    entries of the result.
     """
     dtype = np.dtype(dtype)
-    moments = dtype == np.float64
     n, p = z.shape[0], xis.shape[0]
     zx, zy = z.real.astype(dtype), z.imag.astype(dtype)
     xr, xy = xis.real.astype(dtype), xis.imag.astype(dtype)
     rows = min(_BUFFER_BYTES // (_CHUNK * dtype.itemsize), p)
-    acc = np.zeros((4 if moments else 2, p))
+    acc = np.zeros(p, np.complex128)
     tiles = iter(range(0, p, rows))
     lock = threading.Lock()
 
     def work() -> None:
         size = rows * min(n, _CHUNK)
         ph_buf, tmp_buf = np.empty(size, dtype), np.empty(size, dtype)
-        e_buf = np.empty(size, np.complex128) if moments else None
+        e_buf = None if prefac is None else np.empty(size, np.complex128)
         while True:
             with lock:
                 lo = next(tiles, None)
@@ -159,21 +158,16 @@ def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
                 ph += tmp
                 np.cos(ph, out=tmp)
                 np.sin(ph, out=ph)
-                if not moments:
-                    acc[0, lo:hi] += tmp.sum(axis=1, dtype=np.float64)
-                    acc[1, lo:hi] += ph.sum(axis=1, dtype=np.float64)
+                if prefac is None:
+                    acc.real[lo:hi] += tmp.sum(axis=1, dtype=np.float64)
+                    acc.imag[lo:hi] -= ph.sum(axis=1, dtype=np.float64)
                     continue
                 # e = cos - i sin, built exactly as cos(ph) - 1j * sin(ph)
                 e = e_buf[:ph.size].reshape(shape)
                 e.real = tmp
                 np.subtract(0.0, ph, out=e.imag)
-                if prefac is not None:
-                    e *= prefac[a:b]
-                s = e.sum(axis=1)
-                acc[0, lo:hi] += s.real
-                acc[1, lo:hi] += s.imag
-                acc[2, lo:hi] += np.square(e.real, out=tmp).sum(axis=1)
-                acc[3, lo:hi] += np.square(e.imag, out=ph).sum(axis=1)
+                e *= prefac[a:b]
+                acc[lo:hi] += e.sum(axis=1)
 
     workers = min(_workers(threads), -(-p // rows))
     if workers == 1:
@@ -189,29 +183,24 @@ def _statistic(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
                threads: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean and stderr of prefac * e^{-i<xi,z>} over z, per frequency (float64)."""
     n = z.shape[0]
-    acc = _fourier_sums(z, xis, prefac, np.float64, threads)
-    s_sum = np.empty(xis.shape[0], dtype=np.complex128)
-    s_sum.real, s_sum.imag = acc[0], acc[1]
-    means = s_sum / n
-    if n > 1:
-        var_re = np.maximum(acc[2] - n * means.real**2, 0.0) / (n - 1)
-        var_im = np.maximum(acc[3] - n * means.imag**2, 0.0) / (n - 1)
-        stderrs = np.sqrt((var_re + var_im) / n)
-    else:
-        stderrs = np.zeros(xis.shape[0])
-    return means, stderrs
+    means = _fourier_sums(z, xis, prefac, np.float64, threads) / n
+    if n == 1:
+        return means, np.zeros(xis.shape[0])
+    power = n if prefac is None else float(np.vdot(prefac, prefac).real)
+    excess = np.maximum(power - n * (means.real**2 + means.imag**2), 0.0)
+    return means, np.sqrt(excess / ((n - 1) * n))
 
 
 def ecf(pool, xi: complex) -> EcfValue:
     """Empirical characteristic function at one frequency."""
-    z = _samples(pool)
+    z = _sample_array(pool)
     values, stderrs = _statistic(z, np.array([complex(xi)]), None)
     return EcfValue(complex(xi), complex(values[0]), float(stderrs[0]))
 
 
 def wirtinger_derivative(pool, xi: complex, which: str = "d_xibar") -> EcfValue:
     """Estimate a first Wirtinger derivative of phi at xi ("d_xi" or "d_xibar")."""
-    z = _samples(pool)
+    z = _sample_array(pool)
     values, stderrs = _statistic(z, np.array([complex(xi)]), _prefactor(z, 1, which))
     return EcfValue(complex(xi), complex(values[0]), float(stderrs[0]))
 
@@ -228,11 +217,10 @@ def fixed_point_residual(pool, model, xi: complex, M: int = 1000, rng=None) -> f
         rng = philox(int(rng), DOMAIN_FOURIER, 0)
     if not isinstance(rng, np.random.Generator):
         raise ValueError("fixed_point_residual needs an rng or integer seed")
-    z = _samples(pool)
+    z = _sample_array(pool)
     xi = complex(xi)
     values, counts = model.draw_batch(rng, M)
-    sums = _fourier_sums(z, np.conj(values) * xi, None, np.float32, None)
-    inner = (sums[0] - 1j * sums[1]) / z.shape[0]
+    inner = _fourier_sums(z, np.conj(values) * xi, None, np.float32, None) / z.shape[0]
     products = np.multiply.reduceat(inner, np.concatenate(([0], np.cumsum(counts[:-1]))))
     lhs = ecf(z, xi).value
     return float(abs(lhs - complex(products.mean())))
@@ -242,8 +230,8 @@ def _check_radii(radii, increasing: bool) -> np.ndarray:
     r = np.asarray(radii, dtype=np.float64)
     if r.ndim != 1 or r.shape[0] < 1:
         raise ValueError("radii must be a nonempty 1-d sequence")
-    if not (r > 0).all():
-        raise ValueError("radii must be positive")
+    if not (np.isfinite(r) & (r > 0)).all():
+        raise ValueError("radii must be finite and positive")
     if increasing and not (np.diff(r) > 0).all():
         raise ValueError("radii must be strictly increasing")
     return r
@@ -259,7 +247,7 @@ def polar_grid(pool, radii, n_angles: int = 16, order: int = 0,
     r = _check_radii(radii, increasing=False)
     if n_angles < 8:
         raise ValueError(f"at least 8 angles required, got {n_angles}")
-    z = _samples(pool)
+    z = _sample_array(pool)
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
     xis = (r[:, None] * np.exp(1j * angles)[None, :]).reshape(-1)
     values, stderrs = _statistic(z, xis, _prefactor(z, order), threads)

@@ -60,6 +60,14 @@ class SamplePool:
         return self.samples.shape[0]
 
 
+def _sample_array(pool_or_samples) -> np.ndarray:
+    """The samples of a SamplePool or an array-like, as a nonempty complex128 vector."""
+    z = np.asarray(getattr(pool_or_samples, "samples", pool_or_samples), dtype=np.complex128)
+    if z.ndim != 1 or z.shape[0] < 1:
+        raise ValueError("need a one-dimensional, nonempty sample array")
+    return z
+
+
 @dataclass(frozen=True)
 class GenerationSummary:
     generation: int
@@ -171,6 +179,8 @@ def run(model, n: int, K: int, seed: int, p: float | None = None,
         raise ValueError(f"K >= 1 generations required, got {K}")
     if p is None:
         p = _default_p(model)
+    if not (math.isfinite(p) and p > 0.0):
+        raise ValueError(f"moment order p must be finite and positive, got {p}")
     fp = fingerprint(model)
     pool = init_pool(n, init_value, seed, fp)
     keep = set(int(g) for g in keep_generations)

@@ -31,6 +31,12 @@ def test_estimate_requires_enough_reps():
         estimate_martingale_mean(CyclicPolya(8), ALPHA8, 3, 10, philox(0, 0))
 
 
+def test_estimate_rejects_non_finite_or_non_positive_alpha():
+    for alpha in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            estimate_martingale_mean(CyclicPolya(8), alpha, 3, 50, philox(0, 0))
+
+
 def test_polya_w_martingale_degenerate():
     means = estimate_martingale_mean(CyclicPolya(8), ALPHA8, 6, 500, philox(2, 0))
     assert np.allclose(means.mean_w, 1.0, atol=1e-8)

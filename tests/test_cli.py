@@ -155,6 +155,40 @@ def test_ecf_derivative_without_signal_is_runtime_error(tmp_path, capsys):
             "--radii", "5,10,20,50", "--out", str(tmp_path / "scan.csv")]
     assert main(argv) == 2
     assert "insufficient signal" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+def test_ecf_rejects_non_finite_radii(tmp_path, capsys):
+    pool_path = _write_gaussian_pool(tmp_path)
+    out = tmp_path / "scan.csv"
+    for radii in ("1,inf", "nan,2"):
+        argv = ["ecf", "--pool", pool_path, "--radii", radii, "--angles", "8", "--out", str(out)]
+        assert main(argv) == 1
+        assert "finite and positive" in capsys.readouterr().err
+        assert not out.exists() and not io.manifest_path(out).exists()
+
+
+def test_martingale_rejects_bad_alpha(tmp_path, capsys, polya_cfg):
+    out = tmp_path / "mart.csv"
+    for alpha in ("nan", "inf", "-1", "0"):
+        argv = ["martingale", "--model", polya_cfg, "--seed", "1", "--depth", "2",
+                "--reps", "50", "--alpha", alpha, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "alpha must be finite and positive" in err and alpha in err
+        assert not out.exists() and not io.manifest_path(out).exists()
+
+
+def test_sample_rejects_bad_moment_order(tmp_path, capsys, polya_cfg):
+    out = tmp_path / "pool.csv"
+    for p in ("nan", "inf", "-1", "0"):
+        argv = ["sample", "--model", polya_cfg, "--seed", "1", "--pool-size", "50",
+                "--iterations", "2", "--p", p, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "p must be finite and positive" in err and p in err
+        assert not out.exists() and not io.pool_meta_path(out).exists()
+        assert not io.manifest_path(out).exists()
 
 
 def _write_pool_with_row(tmp_path, row: str):

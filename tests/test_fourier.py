@@ -24,6 +24,9 @@ from smoothfix.popdyn import run
 from smoothfix.rng import DOMAIN_FOURIER, philox
 
 
+TILT23 = 2.15 * complex(math.cos(2 * math.pi / 23), math.sin(2 * math.pi / 23))
+
+
 @pytest.fixture(scope="module")
 def gaussian_samples():
     rng = philox(5, 0)
@@ -102,6 +105,24 @@ def test_fourier_kernel_thread_invariance(polya_pool):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("name", ["biggins_tilt23", "polya_b8"])
+def test_stderrs_match_two_pass_variance(name, polya_pool):
+    # the kernel takes sum |w|^2 from sum |prefac|^2; the reference is the
+    # two-pass sample variance of w at each frequency
+    if name == "polya_b8":
+        z = polya_pool.samples
+    else:
+        z = run(BigginsBinary(TILT23), n=20_000, K=40, seed=1).pool.samples
+    radii = np.array([0.5, 2.0, 8.0])
+    for order, prefac in ((0, 1.0), (1, -0.5j * z), (2, -0.25 * z * z)):
+        grid = polar_grid(z, radii, n_angles=8, order=order)
+        xis = (radii[:, None] * np.exp(1j * grid.angles)[None, :]).reshape(-1)
+        phase = np.multiply.outer(xis.real, z.real) + np.multiply.outer(xis.imag, z.imag)
+        w = prefac * np.exp(-1j * phase)
+        ref = np.sqrt((w.real.var(axis=1, ddof=1) + w.imag.var(axis=1, ddof=1)) / z.shape[0])
+        np.testing.assert_allclose(grid.stderrs.reshape(-1), ref, rtol=1e-12, atol=0.0)
+
+
 def test_polar_grid_memory_is_bounded():
     # one frequency tile per worker is live at a time; an untiled kernel
     # needs about 134 MB for each complex (512 x 2^14) temporary
@@ -121,6 +142,9 @@ def test_radial_scan_validations(gaussian_samples):
         radial_scan(gaussian_samples, [2.0, 1.0])
     with pytest.raises(ValueError, match="positive"):
         radial_scan(gaussian_samples, [-1.0, 2.0])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            polar_grid(gaussian_samples, [1.0, bad])
     with pytest.raises(ValueError, match="angles"):
         radial_scan(gaussian_samples, [1.0, 2.0], n_angles=4)
 
@@ -174,11 +198,7 @@ def _direct_residual(z, model, xi, M, seed):
 
 @pytest.mark.parametrize("name", ["polya_b8", "biggins_tilt23"])
 def test_residual_float32_phases_match_float64(name):
-    if name == "polya_b8":
-        model = CyclicPolya(8)
-    else:
-        model = BigginsBinary(2.15 * complex(math.cos(2 * math.pi / 23),
-                                             math.sin(2 * math.pi / 23)))
+    model = CyclicPolya(8) if name == "polya_b8" else BigginsBinary(TILT23)
     z = run(model, n=4000, K=40, seed=1).pool.samples
     for xi in (0.5, 1.0 + 1.0j, 5.0 * complex(math.cos(0.4), math.sin(0.4))):
         fast = fixed_point_residual(z, model, xi, M=300, rng=21)

@@ -23,6 +23,12 @@ def test_run_requires_at_least_one_generation():
         run(CyclicPolya(8), n=100, K=0, seed=1)
 
 
+def test_run_rejects_non_finite_or_non_positive_p():
+    for p in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="p must be finite and positive"):
+            run(CyclicPolya(8), n=100, K=1, seed=1, p=p)
+
+
 def test_run_deterministic():
     a = run(CyclicPolya(8), n=500, K=10, seed=3)
     b = run(CyclicPolya(8), n=500, K=10, seed=3)
