@@ -52,6 +52,8 @@ def estimate_martingale_mean(model, alpha: float, depth: int, reps: int,
     """Estimate E[W_n] and E[Z_n] for n = 0..depth from independent replicas."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     if reps < 30:
         raise ValueError(f"at least 30 replicas required for the standard errors, got {reps}")
     depths = [0]

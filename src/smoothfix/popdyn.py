@@ -8,9 +8,19 @@ from the previous pool.
 Every output index owns a fixed block of uniforms in a counter-based
 stream keyed by (seed, generation): columns [0, budget) drive the weight
 draw, the next max_children columns the ancestor indices, the rest pad
-the row to a counter block.  Results are therefore independent of chunk
-sizes or thread counts, and any single output can be recomputed in
-isolation.
+the row to a counter block.  The uniforms and the ancestor indices are
+therefore independent of the chunk size, and any single output can be
+recomputed in isolation up to rounding.
+
+The sample bits are not independent of the chunk size.  numpy elides the
+temporary of an expression such as zeta * np.exp(...) in
+CyclicPolya.weights_from_uniforms, or values * pool.samples[idx] below,
+only when it is 256 KiB or larger, and the elided in-place form rounds
+some complex products differently by one ulp.  On polya b = 8 at
+n = 10^5, 2^14-row chunks in place of 2^16 changed 761 of the 2 x 10^5
+weights of generation 1 and 2330 samples after three generations (by at
+most 4.5e-16).  _CHUNK_ROWS is therefore fixed, and reusing chunk
+buffers through out= would change pool bytes as well.
 
 The pool mean is a martingale across generations, but resampling makes
 samples within a generation dependent: the variance of the pool mean
@@ -30,7 +40,7 @@ import numpy as np
 from .model import _ragged_positions, fingerprint
 from .rng import DOMAIN_POPDYN, padded_width, philox
 
-_CHUNK_ROWS = 1 << 16  # output rows per block of uniforms; bounds memory, not results
+_CHUNK_ROWS = 1 << 16  # output rows per block of uniforms; changing it changes sample bits
 
 
 class PoolOverflowError(ArithmeticError):

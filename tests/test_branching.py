@@ -31,6 +31,13 @@ def test_estimate_requires_enough_reps():
         estimate_martingale_mean(CyclicPolya(8), ALPHA8, 3, 10, philox(0, 0))
 
 
+def test_estimate_rejects_negative_depth():
+    with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+        estimate_martingale_mean(CyclicPolya(8), ALPHA8, -1, 50, philox(0, 0))
+    means = estimate_martingale_mean(CyclicPolya(8), ALPHA8, 0, 50, philox(0, 0))
+    assert means.depths.tolist() == [0]
+
+
 def test_estimate_rejects_non_finite_or_non_positive_alpha():
     for alpha in (math.nan, math.inf, -1.0, 0.0):
         with pytest.raises(ValueError, match="alpha must be finite and positive"):

@@ -168,6 +168,28 @@ def test_ecf_rejects_non_finite_radii(tmp_path, capsys):
         assert not out.exists() and not io.manifest_path(out).exists()
 
 
+def test_ecf_slope_needs_three_radii(tmp_path, capsys):
+    # checked before the scan: every radius here has signal, so this used
+    # to scan and then fail at the fit with exit 2
+    pool_path = _write_gaussian_pool(tmp_path)
+    out = tmp_path / "scan.csv"
+    for order in ("1", "2"):
+        argv = ["ecf", "--pool", pool_path, "--radii", "1,2", "--angles", "8",
+                "--order", order, "--out", str(out)]
+        assert main(argv) == 1
+        assert "at least 3 radii, got 2" in capsys.readouterr().err
+        assert not out.exists() and not io.manifest_path(out).exists()
+
+
+def test_martingale_rejects_negative_depth(tmp_path, capsys, polya_cfg):
+    out = tmp_path / "mart.csv"
+    argv = ["martingale", "--model", polya_cfg, "--seed", "1", "--depth", "-2",
+            "--reps", "30", "--out", str(out)]
+    assert main(argv) == 1
+    assert "depth must be at least 0, got -2" in capsys.readouterr().err
+    assert not out.exists() and not io.manifest_path(out).exists()
+
+
 def test_martingale_rejects_bad_alpha(tmp_path, capsys, polya_cfg):
     out = tmp_path / "mart.csv"
     for alpha in ("nan", "inf", "-1", "0"):

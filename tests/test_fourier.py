@@ -1,17 +1,19 @@
 """ECF statistics, fixed-point residuals, and decay scans."""
 
 import math
+import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from smoothfix import BigginsBinary, CyclicPolya
+from smoothfix import BigginsBinary, CyclicPolya, fourier
 from smoothfix.fourier import (
     InsufficientSignalError,
     PolarGrid,
     _fourier_sums,
+    _gridded_sums,
     decay_from_grid,
     derivative_decay_scan,
     ecf,
@@ -36,6 +38,11 @@ def gaussian_samples():
 @pytest.fixture(scope="module")
 def polya_pool():
     return run(CyclicPolya(8), n=4000, K=40, seed=1).pool
+
+
+@pytest.fixture(scope="module")
+def tilt23_pool():
+    return run(BigginsBinary(TILT23), n=4000, K=40, seed=1).pool
 
 
 def test_ecf_matches_direct_formula(gaussian_samples):
@@ -79,12 +86,12 @@ def test_polar_grid_matches_pointwise_ecf(gaussian_samples):
 
 
 def test_fourier_kernel_thread_invariance(polya_pool):
-    # two sample chunks and nine (float64) or forty (float32) frequency
-    # tiles; more threads than cores and frequent thread switches, so a
-    # tile taken twice or lost would show
+    # two sample chunks and nine (polar grid) or eighty (residual-shaped)
+    # frequency tiles; more threads than cores and frequent thread
+    # switches, so a tile taken twice or lost would show
     rng = philox(15, 0)
     z = rng.standard_normal((1 << 14) + 300) + 1j * rng.standard_normal((1 << 14) + 300)
-    # the inner frequencies of fixed_point_residual, on its float32 path
+    # the inner frequencies of fixed_point_residual, as its fallback sums them
     freqs = np.conj(CyclicPolya(8).draw_batch(philox(11, DOMAIN_FOURIER, 0), 320)[0]) * 3.0
     pool = np.tile(polya_pool.samples, 5)
     interval = sys.getswitchinterval()
@@ -97,9 +104,9 @@ def test_fourier_kernel_thread_invariance(polya_pool):
                                   threads=threads)
                 assert one.values.tobytes() == many.values.tobytes()
                 assert one.stderrs.tobytes() == many.stderrs.tobytes()
-        one = _fourier_sums(pool, freqs, None, np.float32, 1)
+        one = _fourier_sums(pool, freqs, None, 1)
         for threads in (2, 7):
-            many = _fourier_sums(pool, freqs, None, np.float32, threads)
+            many = _fourier_sums(pool, freqs, None, threads)
             assert one.tobytes() == many.tobytes()
     finally:
         sys.setswitchinterval(interval)
@@ -196,13 +203,59 @@ def _direct_residual(z, model, xi, M, seed):
     return abs(lhs - products.mean())
 
 
+def _spy_direct_kernel(monkeypatch):
+    """Record the frequency count of every call to the direct kernel."""
+    calls = []
+    direct = fourier._fourier_sums
+
+    def spy(z, xis, *args):
+        calls.append(xis.shape[0])
+        return direct(z, xis, *args)
+
+    monkeypatch.setattr(fourier, "_fourier_sums", spy)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["polya_b8", "biggins_tilt23"])
-def test_residual_float32_phases_match_float64(name):
+def test_residual_matches_float64_direct(name, monkeypatch, polya_pool, tilt23_pool):
     model = CyclicPolya(8) if name == "polya_b8" else BigginsBinary(TILT23)
-    z = run(model, n=4000, K=40, seed=1).pool.samples
-    for xi in (0.5, 1.0 + 1.0j, 5.0 * complex(math.cos(0.4), math.sin(0.4))):
+    z = (polya_pool if name == "polya_b8" else tilt23_pool).samples
+    calls = _spy_direct_kernel(monkeypatch)
+    xis = (0.5, 1.0 + 1.0j, 5.0 * complex(math.cos(0.4), math.sin(0.4)))
+    for xi in xis:
         fast = fixed_point_residual(z, model, xi, M=300, rng=21)
-        assert abs(fast - _direct_residual(z, model, xi, 300, 21)) <= 5e-6
+        assert abs(fast - _direct_residual(z, model, xi, 300, 21)) <= 1e-12
+    # only the single-frequency lhs ran direct: every inner sum was gridded
+    assert calls == [1, 1, 1]
+    if name == "polya_b8":
+        return
+    # |xi| = 5 has the largest grid of these pools: gridded at a cap of
+    # exactly its cell count, direct one cell below
+    xi = xis[-1]
+    values = model.draw_batch(philox(21, DOMAIN_FOURIER, 0), 300)[0]
+    _, nx, ny, _, _ = fourier._grid(z, float(np.abs(np.conj(values) * xi).max()))
+    assert (nx, ny) == (181, 97)
+    for cap, direct_calls in ((nx * ny, [1]), (nx * ny - 1, [values.shape[0], 1])):
+        monkeypatch.setattr(fourier, "_MAX_CELLS", cap)
+        calls.clear()
+        fast = fixed_point_residual(z, model, xi, M=300, rng=21)
+        assert calls == direct_calls
+        assert abs(fast - _direct_residual(z, model, xi, 300, 21)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["polya_b8", "biggins_tilt23"])
+def test_gridded_sums_match_direct_kernel(name, polya_pool, tilt23_pool):
+    model = CyclicPolya(8) if name == "polya_b8" else BigginsBinary(TILT23)
+    z = (polya_pool if name == "polya_b8" else tilt23_pool).samples
+    n = z.shape[0]
+    values = np.conj(model.draw_batch(philox(23, DOMAIN_FOURIER, 0), 400)[0])
+    # residual-shaped frequencies at three radii in one call, and xi = 0
+    xis = np.concatenate(([0.0], values * 0.5, values * (1.0 + 1.0j), values * 5.0j))
+    gridded = _gridded_sums(z, xis)
+    assert np.abs(gridded - _fourier_sums(z, xis, None, 1)).max() / n <= 1e-12
+    assert abs(gridded[0] - n) / n <= 1e-12
+    zeros = _gridded_sums(z, np.zeros(3, np.complex128))
+    assert zeros.tobytes() == np.full(3, complex(n)).tobytes()
 
 
 def test_residual_validations(polya_pool):
@@ -210,6 +263,27 @@ def test_residual_validations(polya_pool):
         fixed_point_residual(polya_pool, CyclicPolya(8), 1.0, M=50, rng=1)
     with pytest.raises(ValueError, match="rng"):
         fixed_point_residual(polya_pool, CyclicPolya(8), 1.0, M=200)
+    for bad in (math.inf, math.nan, complex(1.0, math.nan), complex(-math.inf, 2.0)):
+        for call in (lambda: fixed_point_residual(polya_pool, CyclicPolya(8), bad, M=200, rng=1),
+                     lambda: ecf(polya_pool, bad),
+                     lambda: wirtinger_derivative(polya_pool, bad)):
+            message = re.escape(f"must be finite, got {complex(bad)!r}")
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+def test_residual_memory_is_bounded():
+    # 2 x 10^4 inner frequencies on 10^4 samples; the direct kernel took
+    # 4.0 MB here; the gridded sums took 2.4 MB
+    rng = philox(16, 0)
+    z = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
+    tracemalloc.start()
+    try:
+        fixed_point_residual(z, CyclicPolya(8), 5.0, M=10_000, rng=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0e6
 
 
 def test_residual_deterministic_in_seed(polya_pool):
