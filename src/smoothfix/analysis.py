@@ -28,7 +28,7 @@ import numpy as np
 
 from . import popdyn
 from .model import fingerprint
-from .rng import DOMAIN_ANALYSIS, philox
+from .rng import DOMAIN_ANALYSIS, as_generator, philox
 
 DENSITY_ALPHA_RANGE = (1.0, 2.0)  # absolute-continuity results need alpha in (1, 2]
 
@@ -112,14 +112,6 @@ def _mean_with_se(per_draw: np.ndarray, what: str) -> MomentEstimate:
     return MomentEstimate(mean, se, n, "monte_carlo")
 
 
-def _require_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return philox(int(rng), DOMAIN_ANALYSIS, 0)
-    raise ValueError("monte_carlo estimates need an explicit rng or integer seed")
-
-
 def _scan_grid() -> np.ndarray:
     # geometric scan from 2^-6 up to _S_MAX, ratio 2^(1/8)
     lo, ratio = 2.0**-6, 2.0 ** (1.0 / 8.0)
@@ -144,7 +136,7 @@ def find_alpha(model, n: int = 100_000, rng=None, method: str = "closed_form") -
         m_of = model.m_closed_form
         m0 = float(m_of(0.0))
     elif method == "monte_carlo":
-        table = _DrawTable(model, n, _require_rng(rng))
+        table = _DrawTable(model, n, as_generator(rng, DOMAIN_ANALYSIS, 0))
         m0 = float(table.counts.mean())
 
         def m_of(s: float) -> float:

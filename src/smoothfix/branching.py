@@ -6,7 +6,9 @@ martingale when m(alpha) = 1) and Z_n = sum_v L_v (the complex-additive
 martingale when E[sum_j T_j] = 1).  One generator grows the trees of all
 replicas together.  Trees grow geometrically, so it stops early, and the
 estimator sets a truncation flag, once the next generation would exceed
-the node budget.
+the node budget (at least 1).  The budget also bounds memory: a generation
+that may cross it is drawn in blocks of parents and dropped at the first
+block that does.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_BLOCK_ROWS = 1 << 16  # parents per draw when a generation may cross the node budget
 
 
 @dataclass(frozen=True)
@@ -32,15 +36,34 @@ class MartingaleMeans:
     truncated_at: int | None
 
 
+def _draw_children(model, rng, rows, node_budget):
+    """model.draw_batch(rng, rows), or None if it has more than node_budget children.
+
+    Blocks of rows consume rng exactly as one draw of all rows does.
+    """
+    if rows * model.max_children <= node_budget:
+        return model.draw_batch(rng, rows)
+    blocks, total = [], 0
+    for start in range(0, rows, _BLOCK_ROWS):
+        values, counts = model.draw_batch(rng, min(_BLOCK_ROWS, rows - start))
+        total += int(counts.sum())
+        if total > node_budget:
+            return None
+        blocks.append((values, counts))
+    values, counts = zip(*blocks)
+    return np.concatenate(values), np.concatenate(counts)
+
+
 def _batched_generations(model, depth, reps, rng, node_budget):
     """Yield (n, line, owner) for generations 1..depth across reps trajectories."""
     line = np.ones(reps, dtype=np.complex128)
     owner = np.arange(reps)
     for n in range(1, depth + 1):
-        values, counts = model.draw_batch(rng, line.shape[0])
-        if int(counts.sum()) > node_budget:
+        drawn = _draw_children(model, rng, line.shape[0], node_budget)
+        if drawn is None:
             yield n, None, None
             return
+        values, counts = drawn
         line = np.repeat(line, counts) * values
         owner = np.repeat(owner, counts)
         yield n, line, owner
@@ -56,6 +79,8 @@ def estimate_martingale_mean(model, alpha: float, depth: int, reps: int,
         raise ValueError(f"depth must be at least 0, got {depth}")
     if reps < 30:
         raise ValueError(f"at least 30 replicas required for the standard errors, got {reps}")
+    if node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {node_budget}")
     depths = [0]
     mean_w, se_w = [1.0], [0.0]
     mean_z, se_z = [1.0 + 0j], [0.0]

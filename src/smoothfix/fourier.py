@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .popdyn import _sample_array
-from .rng import DOMAIN_FOURIER, philox
+from .rng import DOMAIN_FOURIER, as_generator
 
 # Samples reduced at a time.  It fixes the summation order of every
 # frequency, so changing it changes output bits.
@@ -366,10 +366,7 @@ def fixed_point_residual(pool, model, xi: complex, M: int = 1000, rng=None) -> f
     if M < 100:
         raise ValueError(f"at least 100 weight draws required, got {M}")
     xi = _frequency(xi)
-    if isinstance(rng, (int, np.integer)):
-        rng = philox(int(rng), DOMAIN_FOURIER, 0)
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError("fixed_point_residual needs an rng or integer seed")
+    rng = as_generator(rng, DOMAIN_FOURIER, 0)
     z = _sample_array(pool)
     values, counts = model.draw_batch(rng, M)
     inner = _gridded_sums(z, np.conj(values) * xi) / z.shape[0]

@@ -30,12 +30,6 @@ _LN2 = math.log(2.0)
 _TINY_U = 2.0**-53  # smallest positive uniform; polya clamps u = 0 to it
 
 
-def _ragged_positions(counts: np.ndarray) -> np.ndarray:
-    """Index of each entry within its row, for rows of the given lengths laid end to end."""
-    ends = np.cumsum(counts)
-    return np.arange(int(counts.sum())) - np.repeat(ends - counts, counts)
-
-
 class ConfigError(ValueError):
     """Malformed model configuration document."""
 
@@ -200,8 +194,9 @@ class Tabular(_WeightModel):
         u = np.asarray(u)[:, 0]
         idx = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._cum) - 1)
         counts = self._lens[idx]
-        # ragged gather of each selected atom's weight run
-        values = self._flat[np.repeat(self._offsets[idx], counts) + _ragged_positions(counts)]
+        # row i takes the first counts[i] entries of its atom's run in _flat
+        cols = np.arange(self.max_children)
+        values = self._flat[(self._offsets[idx][:, None] + cols)[cols < counts[:, None]]]
         return values, counts
 
     def m_closed_form(self, s: float) -> float:

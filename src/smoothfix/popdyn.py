@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _ragged_positions, fingerprint
+from .model import fingerprint
 from .rng import DOMAIN_POPDYN, padded_width, philox
 
 _CHUNK_ROWS = 1 << 16  # output rows per block of uniforms; changing it changes sample bits
@@ -106,12 +106,10 @@ def init_pool(n: int, value: complex = 1.0, seed: int | None = None,
 
 def _gather_used(block: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flatten the first counts[i] entries of row i of block."""
-    rows, width = block.shape
     c0 = int(counts[0])
-    if (counts == c0).all():
+    if (counts == c0).all():  # the row mask below is about 4x slower on equal rows
         return block[:, :c0].reshape(-1)
-    rows_flat = np.repeat(np.arange(rows), counts)
-    return block[rows_flat, _ragged_positions(counts)]
+    return block[np.arange(block.shape[1]) < counts[:, None]]
 
 
 def iterate(pool: SamplePool, model, rng: np.random.Generator) -> SamplePool:

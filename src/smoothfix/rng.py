@@ -1,10 +1,10 @@
 """Deterministic random-stream construction.
 
 All randomness in the package flows through numpy's Philox counter-based
-generator, keyed by a user seed plus a fixed domain tag per consumer.  The
-counter structure makes streams chunkable: a block of rows of a uniform
-table can be regenerated in isolation, so results never depend on how work
-is partitioned across chunks or threads.
+generator, keyed by a user seed plus a fixed domain tag per consumer.  In
+a table of uniforms drawn `width` per row, width a multiple of BLOCK, row
+i alone is recomputable after Philox.advance(i * width // BLOCK), as
+tests/test_popdyn.py shows; the package has no API for slicing rows.
 """
 
 from __future__ import annotations
@@ -28,23 +28,15 @@ def philox(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def as_generator(rng, *key: int) -> np.random.Generator:
+    """rng itself if it is a Generator, philox(rng, *key) if it is an integer seed."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    if isinstance(rng, (int, np.integer)):
+        return philox(int(rng), *key)
+    raise ValueError(f"need an rng: a numpy Generator or an integer seed, got {rng!r}")
+
+
 def padded_width(width: int) -> int:
     """Round a per-row uniform budget up to a counter-block multiple."""
     return -(-width // BLOCK) * BLOCK
-
-
-def uniform_rows(
-    seed: int, key: tuple[int, ...], start: int, stop: int, width: int
-) -> np.ndarray:
-    """Rows [start, stop) of the conceptual (., width) uniform table.
-
-    width must be a multiple of BLOCK so each row occupies whole counter
-    blocks; then any partition of [start, stop) reproduces the same values.
-    """
-    if width % BLOCK:
-        raise ValueError(f"width must be a multiple of {BLOCK}, got {width}")
-    if not 0 <= start <= stop:
-        raise ValueError(f"bad row range [{start}, {stop})")
-    bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-    bits.advance(start * (width // BLOCK))
-    return np.random.Generator(bits).random((stop - start, width))

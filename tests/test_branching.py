@@ -2,11 +2,12 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from smoothfix import BigginsBinary, CyclicPolya
+from smoothfix import BigginsBinary, CyclicPolya, Tabular
 from smoothfix.analysis import find_alpha
 from smoothfix.branching import _batched_generations, estimate_martingale_mean
 from smoothfix.popdyn import run
@@ -36,6 +37,13 @@ def test_estimate_rejects_negative_depth():
         estimate_martingale_mean(CyclicPolya(8), ALPHA8, -1, 50, philox(0, 0))
     means = estimate_martingale_mean(CyclicPolya(8), ALPHA8, 0, 50, philox(0, 0))
     assert means.depths.tolist() == [0]
+
+
+def test_estimate_rejects_node_budget_below_one():
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match=f"node budget must be at least 1, got {budget}"):
+            estimate_martingale_mean(CyclicPolya(8), ALPHA8, 3, 50, philox(0, 0),
+                                     node_budget=budget)
 
 
 def test_estimate_rejects_non_finite_or_non_positive_alpha():
@@ -76,6 +84,23 @@ def test_batch_truncation_flag():
     assert means.truncated
     assert means.truncated_at == 5  # 100 * 2^5 = 3200 > 2000
     assert means.depths[-1] == means.truncated_at - 1
+
+
+def test_node_budget_bounds_memory():
+    """The generation that crosses the budget is abandoned block by block,
+    not drawn in full: peak memory stays below its weights alone."""
+    model = Tabular([(0.5, (0.5,)), (0.5, (0.05,) * 20)])  # E[N] = 10.5
+    reps = 3000
+    tracemalloc.start()
+    try:
+        means = estimate_martingale_mean(model, 1.0, 8, reps, philox(0, 0),
+                                         node_budget=400_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert means.truncated_at == 3
+    crossing = means.node_count_mean[-1] * reps * 10.5  # expected children of generation 3
+    assert peak < crossing * np.dtype(np.complex128).itemsize
 
 
 def test_batched_matches_single_trajectory_law():

@@ -190,6 +190,15 @@ def test_martingale_rejects_negative_depth(tmp_path, capsys, polya_cfg):
     assert not out.exists() and not io.manifest_path(out).exists()
 
 
+def test_martingale_rejects_node_budget_below_one(tmp_path, capsys, polya_cfg):
+    out = tmp_path / "mart.csv"
+    argv = ["martingale", "--model", polya_cfg, "--seed", "1", "--depth", "2",
+            "--reps", "50", "--node-budget", "-5", "--out", str(out)]
+    assert main(argv) == 1
+    assert "node budget must be at least 1, got -5" in capsys.readouterr().err
+    assert not out.exists() and not io.manifest_path(out).exists()
+
+
 def test_martingale_rejects_bad_alpha(tmp_path, capsys, polya_cfg):
     out = tmp_path / "mart.csv"
     for alpha in ("nan", "inf", "-1", "0"):

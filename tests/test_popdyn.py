@@ -7,7 +7,7 @@ import pytest
 
 from smoothfix import BigginsBinary, CyclicPolya, Tabular, popdyn
 from smoothfix.popdyn import PoolOverflowError, init_pool, iterate, run
-from smoothfix.rng import DOMAIN_POPDYN, padded_width, philox, uniform_rows
+from smoothfix.rng import BLOCK, DOMAIN_POPDYN, padded_width, philox
 
 
 def test_init_pool_validation():
@@ -47,18 +47,29 @@ def test_iterate_chunk_size_does_not_change_results(monkeypatch):
 
 
 def test_single_output_recomputable_from_its_counter_block():
-    """Row i of the generation-k uniform table fully determines output i."""
-    model = CyclicPolya(8)
-    n, k, seed, i = 400, 3, 21, 137
-    result = run(model, n=n, K=k, seed=seed, keep_generations=(k - 1,))
-    prev = result.snapshots[k - 1].samples
-    width = padded_width(model.uniform_budget + model.max_children)
-    row = uniform_rows(seed, (DOMAIN_POPDYN, k), i, i + 1, width)
-    values, counts = model.weights_from_uniforms(row[:, : model.uniform_budget])
-    iu = row[0, model.uniform_budget : model.uniform_budget + int(counts[0])]
-    idx = np.minimum((iu * n).astype(np.int64), n - 1)
-    recomputed = complex(np.add.reduce(values * prev[idx]))
-    assert recomputed == result.pool.samples[i]
+    """Row i of the generation-k uniform table fully determines output i,
+    for equal offspring counts and for ragged ones of 1, 2 and 3 children."""
+    mixed = Tabular([(0.3, (0.8 + 0.3j,)), (0.3, (0.5 + 0.2j, 0.45 - 0.1j)),
+                     (0.4, (0.35, 0.3 + 0.25j, 0.25 - 0.2j))])
+    n, k, seed = 400, 3, 21
+    for model in (CyclicPolya(8), mixed):
+        result = run(model, n=n, K=k, seed=seed, keep_generations=(k - 1,))
+        prev = result.snapshots[k - 1].samples
+        budget = model.uniform_budget
+        width = padded_width(budget + model.max_children)
+        arities = set()
+        for i in range(n):
+            bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(DOMAIN_POPDYN, k)))
+            bits.advance(i * width // BLOCK)
+            row = np.random.Generator(bits).random((1, width))
+            values, counts = model.weights_from_uniforms(row[:, :budget])
+            iu = row[0, budget : budget + int(counts[0])]
+            idx = np.minimum((iu * n).astype(np.int64), n - 1)
+            # summed by reduceat as in iterate; np.add.reduce orders three terms differently
+            recomputed = np.add.reduceat(values * prev[idx], [0])
+            assert recomputed.tobytes() == result.pool.samples[i : i + 1].tobytes()
+            arities.add(int(counts[0]))
+        assert arities == ({2} if model.kind == "polya" else {1, 2, 3})
 
 
 def test_scale_equivariance_exact():
