@@ -111,13 +111,6 @@ class EcfValue:
 
 
 @dataclass(frozen=True)
-class RadialScan:
-    radii: np.ndarray
-    values: np.ndarray  # per-radius max of |phi_hat| over the angle grid
-    n_angles: int
-
-
-@dataclass(frozen=True)
 class PolarGrid:
     """Statistic values on the full (radius x angle) grid."""
 
@@ -154,13 +147,16 @@ def _prefactor(z: np.ndarray, order: int, which: str = "d_xibar") -> np.ndarray 
 
 
 def _workers(threads: int | None) -> int:
+    """Worker threads for `threads` (None: all), capped at the cores this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
     if threads is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        return cores
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    return int(threads)
+    return min(int(threads), cores)
 
 
 def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
@@ -375,25 +371,19 @@ def fixed_point_residual(pool, model, xi: complex, M: int = 1000, rng=None) -> f
     return float(abs(lhs - complex(products.mean())))
 
 
-def _check_radii(radii, increasing: bool) -> np.ndarray:
+def polar_grid(pool, radii, n_angles: int = 16, order: int = 0,
+               threads: int | None = None) -> PolarGrid:
+    """Evaluate phi_hat (order 0) or the d/d conj(xi) statistic of order 1 or 2 on a polar grid.
+
+    `threads` bounds the worker threads, which never outnumber the cores
+    this process may run on (None: one per core); the result does not
+    depend on it.
+    """
     r = np.asarray(radii, dtype=np.float64)
     if r.ndim != 1 or r.shape[0] < 1:
         raise ValueError("radii must be a nonempty 1-d sequence")
     if not (np.isfinite(r) & (r > 0)).all():
         raise ValueError("radii must be finite and positive")
-    if increasing and not (np.diff(r) > 0).all():
-        raise ValueError("radii must be strictly increasing")
-    return r
-
-
-def polar_grid(pool, radii, n_angles: int = 16, order: int = 0,
-               threads: int | None = None) -> PolarGrid:
-    """Evaluate phi_hat (order 0) or the d/d conj(xi) statistic of order 1 or 2 on a polar grid.
-
-    `threads` bounds the worker threads (None: every core this process may
-    run on); the result does not depend on it.
-    """
-    r = _check_radii(radii, increasing=False)
     if n_angles < 8:
         raise ValueError(f"at least 8 angles required, got {n_angles}")
     z = _sample_array(pool)
@@ -402,12 +392,6 @@ def polar_grid(pool, radii, n_angles: int = 16, order: int = 0,
     values, stderrs = _statistic(z, xis, _prefactor(z, order), threads)
     shape = (r.shape[0], n_angles)
     return PolarGrid(r, angles, values.reshape(shape), stderrs.reshape(shape), order)
-
-
-def radial_scan(pool, radii, n_angles: int = 64) -> RadialScan:
-    """Max of |phi_hat| over an angle grid, per radius."""
-    grid = polar_grid(pool, _check_radii(radii, increasing=True), n_angles, order=0)
-    return RadialScan(grid.radii, np.abs(grid.values).max(axis=1), n_angles)
 
 
 def decay_from_grid(grid: PolarGrid) -> DecayScan:
@@ -432,13 +416,3 @@ def decay_from_grid(grid: PolarGrid) -> DecayScan:
         )
     slope = float(np.polyfit(np.log(r[kept]), np.log(vmax[kept]), 1)[0])
     return DecayScan(r, vmax, errs, floors, kept, slope, grid.angles.shape[0], grid.order)
-
-
-def derivative_decay_scan(pool, radii, n_angles: int = 16, order: int = 1) -> DecayScan:
-    """Scan a derivative statistic over a polar grid and fit its decay rate."""
-    r = _check_radii(radii, increasing=True)
-    if r.shape[0] < 2 or r[-1] < 10.0 * r[0] * (1.0 - 1e-12):
-        raise ValueError("decay radii must span at least one decade")
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    return decay_from_grid(polar_grid(pool, r, n_angles, order=order))

@@ -7,6 +7,7 @@ exactly and identical computations produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,12 @@ def write_pool_csv(path, pool: SamplePool, summaries=None, p: float | None = Non
 
 def read_pool_csv(path) -> SamplePool:
     path = Path(path)
-    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    with warnings.catch_warnings():
+        # a header-only file is reported below as "no samples"
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0:
+        raise ValueError(f"{path}: no samples")
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns re,im, got {data.shape[1]}")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))

@@ -244,12 +244,19 @@ def _parse_complex(obj, where: str) -> complex:
     )
 
 
+def _reject_extra_fields(obj: dict, fields: tuple, where: str) -> None:
+    extra = [key for key in obj if key not in fields]
+    if extra:
+        raise ConfigError(f"{where}: unexpected field {extra[0]!r}")
+
+
 def _parse_atom(atom, where: str) -> tuple[float, list[complex]]:
     """One tabular atom: {"prob": p, "weights": [...]} or the list form [p, [...]].
 
     A weight is a number, {"re", "im"}, {"modulus", "arg"} or an [re, im] pair.
     """
     if isinstance(atom, dict):
+        _reject_extra_fields(atom, ("prob", "weights"), where)
         prob, weights = atom["prob"], atom["weights"]
     elif isinstance(atom, list) and len(atom) == 2:
         prob, weights = atom
@@ -276,21 +283,23 @@ def model_from_config(doc: dict):
     if not isinstance(inner, dict) or "type" not in inner:
         raise ConfigError("config needs a 'model' object with a 'type' field")
     kind = inner["type"]
+    fields = {"biggins": "lambda", "polya": "b", "tabular": "atoms"}
+    if not isinstance(kind, str) or kind not in fields:
+        raise ConfigError(f"unknown model type {kind!r}")
+    _reject_extra_fields(inner, ("type", fields[kind]), "model")
     try:
         if kind == "biggins":
             return BigginsBinary(_parse_complex(inner["lambda"], "model.lambda"))
         if kind == "polya":
             return CyclicPolya(inner["b"])
-        if kind == "tabular":
-            return Tabular([_parse_atom(atom, f"model.atoms[{i}]")
-                            for i, atom in enumerate(inner["atoms"])])
+        return Tabular([_parse_atom(atom, f"model.atoms[{i}]")
+                        for i, atom in enumerate(inner["atoms"])])
     except ConfigError:
         raise
     except KeyError as exc:
         raise ConfigError(f"model config missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
-    raise ConfigError(f"unknown model type {kind!r}")
 
 
 def model_to_config(model) -> dict:

@@ -92,7 +92,6 @@ class GenerationSummary:
 class RunResult:
     pool: SamplePool
     summaries: tuple[GenerationSummary, ...]
-    snapshots: dict
     p: float
 
 
@@ -176,12 +175,13 @@ def _summarize(pool: SamplePool, p: float, var: tuple[float, float],
 
 
 def run(model, n: int, K: int, seed: int, p: float | None = None,
-        keep_generations: tuple = (), init_value: complex = 1.0) -> RunResult:
+        init_value: complex = 1.0) -> RunResult:
     """Run K generations from a constant pool and summarize each one.
 
     Generation k consumes the stream keyed by (seed, DOMAIN_POPDYN, k), so
     runs extend reproducibly: the first K' < K generations of a longer run
-    match the shorter run exactly.
+    match the shorter run exactly, and run(..., K=k).pool is the pool of
+    generation k of any longer run.
     """
     if K < 1:
         raise ValueError(f"K >= 1 generations required, got {K}")
@@ -191,10 +191,6 @@ def run(model, n: int, K: int, seed: int, p: float | None = None,
         raise ValueError(f"moment order p must be finite and positive, got {p}")
     fp = fingerprint(model)
     pool = init_pool(n, init_value, seed, fp)
-    keep = set(int(g) for g in keep_generations)
-    snapshots: dict[int, SamplePool] = {}
-    if 0 in keep:
-        snapshots[0] = pool
     cum_var = 0.0
     summaries = [_summarize(pool, p, _variances(pool), cum_var)]
     for k in range(1, K + 1):
@@ -202,6 +198,4 @@ def run(model, n: int, K: int, seed: int, p: float | None = None,
         var = _variances(pool)
         cum_var += var[0] + var[1]
         summaries.append(_summarize(pool, p, var, cum_var))
-        if k in keep:
-            snapshots[k] = pool
-    return RunResult(pool=pool, summaries=tuple(summaries), snapshots=snapshots, p=p)
+    return RunResult(pool=pool, summaries=tuple(summaries), p=p)

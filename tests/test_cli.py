@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,15 @@ def test_read_pool_csv_rejects_non_finite_samples(tmp_path):
         assert pool_path in str(info.value)
 
 
+def test_read_pool_csv_rejects_wrong_column_count(tmp_path):
+    # two one-column rows must not be read as one (re, im) sample
+    for body, got in (("1\n2\n", 1), ("1,2,3\n", 3)):
+        pool_path = tmp_path / "pool.csv"
+        pool_path.write_text("re,im\n" + body)
+        with pytest.raises(ValueError, match=f"expected two columns re,im, got {got}"):
+            io.read_pool_csv(pool_path)
+
+
 def test_ecf_and_density_reject_non_finite_pool(tmp_path, capsys):
     out = tmp_path / "out.csv"
     for row in ("nan,0", "inf,1"):
@@ -248,6 +258,19 @@ def test_ecf_and_density_reject_non_finite_pool(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("smoothfix:") and pool_path in err and "line 4" in err
             assert not out.exists() and not io.manifest_path(out).exists()
+
+
+def test_ecf_header_only_pool_names_the_problem(tmp_path, capsys):
+    pool_path = tmp_path / "empty.csv"
+    pool_path.write_text("re,im\n")
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["ecf", "--pool", str(pool_path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"smoothfix: {pool_path}: no samples\n"
+    assert caught == []
+    assert not out.exists()
 
 
 def test_threads_flag_does_not_change_outputs(tmp_path, polya_cfg, capsys):

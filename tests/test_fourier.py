@@ -1,9 +1,11 @@
 """ECF statistics, fixed-point residuals, and decay scans."""
 
 import math
+import os
 import re
 import sys
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -15,11 +17,9 @@ from smoothfix.fourier import (
     _fourier_sums,
     _gridded_sums,
     decay_from_grid,
-    derivative_decay_scan,
     ecf,
     fixed_point_residual,
     polar_grid,
-    radial_scan,
     wirtinger_derivative,
 )
 from smoothfix.popdyn import run
@@ -85,10 +85,12 @@ def test_polar_grid_matches_pointwise_ecf(gaussian_samples):
             assert grid.values[i, j] == ecf(gaussian_samples, xi).value
 
 
-def test_fourier_kernel_thread_invariance(polya_pool):
+def test_fourier_kernel_thread_invariance(polya_pool, monkeypatch):
     # two sample chunks and nine (polar grid) or eighty (residual-shaped)
-    # frequency tiles; more threads than cores and frequent thread
-    # switches, so a tile taken twice or lost would show
+    # frequency tiles; more threads than cores (the core cap is lifted
+    # here) and frequent thread switches, so a tile taken twice or lost
+    # would show
+    monkeypatch.setattr(fourier, "_workers", lambda threads: threads)
     rng = philox(15, 0)
     z = rng.standard_normal((1 << 14) + 300) + 1j * rng.standard_normal((1 << 14) + 300)
     # the inner frequencies of fixed_point_residual, as its fallback sums them
@@ -110,6 +112,39 @@ def test_fourier_kernel_thread_invariance(polya_pool):
             assert one.tobytes() == many.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_worker_count_capped_at_usable_cores(monkeypatch):
+    # a stub pool records the requested worker count and runs the work
+    # inline, so no thread starts whatever the count
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn):
+            future = Future()
+            future.set_result(fn())
+            return future
+
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    z = philox(17, 0).standard_normal(100) + 0j
+    radii = np.linspace(1.0, 2.0, cores + 1)  # 8 (cores + 1) tiles of 8 frequencies
+    expected = polar_grid(z, radii, n_angles=64, threads=1)
+    monkeypatch.setattr(fourier, "ThreadPoolExecutor", InlinePool)
+    grid = polar_grid(z, radii, n_angles=64, threads=10**6)
+    assert requested == ([cores] if cores > 1 else [])
+    assert grid.values.tobytes() == expected.values.tobytes()
 
 
 @pytest.mark.parametrize("name", ["biggins_tilt23", "polya_b8"])
@@ -144,22 +179,20 @@ def test_polar_grid_memory_is_bounded():
     assert peak < 64e6
 
 
-def test_radial_scan_validations(gaussian_samples):
-    with pytest.raises(ValueError, match="increasing"):
-        radial_scan(gaussian_samples, [2.0, 1.0])
+def test_polar_grid_validations(gaussian_samples):
     with pytest.raises(ValueError, match="positive"):
-        radial_scan(gaussian_samples, [-1.0, 2.0])
+        polar_grid(gaussian_samples, [-1.0, 2.0])
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             polar_grid(gaussian_samples, [1.0, bad])
     with pytest.raises(ValueError, match="angles"):
-        radial_scan(gaussian_samples, [1.0, 2.0], n_angles=4)
+        polar_grid(gaussian_samples, [1.0, 2.0], n_angles=4)
 
 
 def test_all_ones_pool_radial_max_is_one():
     pool = np.ones(1000, dtype=np.complex128)
-    scan = radial_scan(pool, [1.0, 5.0, 10.0, 50.0], 64)
-    assert np.allclose(scan.values, 1.0, atol=1e-12)
+    radial_max = np.abs(polar_grid(pool, [1.0, 5.0, 10.0, 50.0], 64).values).max(axis=1)
+    assert np.allclose(radial_max, 1.0, atol=1e-12)
 
 
 def test_wirtinger_finite_difference_identities(polya_pool):
@@ -293,10 +326,8 @@ def test_residual_deterministic_in_seed(polya_pool):
 
 
 def test_decay_scan_validations(gaussian_samples):
-    with pytest.raises(ValueError, match="decade"):
-        derivative_decay_scan(gaussian_samples, [5.0, 20.0], order=1)
     with pytest.raises(ValueError, match="order"):
-        derivative_decay_scan(gaussian_samples, [1.0, 3.0, 10.0], order=3)
+        polar_grid(gaussian_samples, [1.0, 3.0, 10.0], order=3)
 
 
 def test_decay_scan_insufficient_signal_on_gaussian():
@@ -304,7 +335,7 @@ def test_decay_scan_insufficient_signal_on_gaussian():
     rng = philox(13, 0)
     z = rng.standard_normal(300) + 1j * rng.standard_normal(300)
     with pytest.raises(InsufficientSignalError, match="insufficient signal"):
-        derivative_decay_scan(z, np.geomspace(5.0, 50.0, 6), n_angles=8, order=1)
+        decay_from_grid(polar_grid(z, np.geomspace(5.0, 50.0, 6), n_angles=8, order=1))
 
 
 def test_polya8_pool_has_no_slow_first_order_decay():
@@ -312,7 +343,7 @@ def test_polya8_pool_has_no_slow_first_order_decay():
     than the generic first-order bound, so the scan runs out of signal."""
     pool = run(CyclicPolya(8), n=20_000, K=50, seed=1).pool
     with pytest.raises(InsufficientSignalError):
-        derivative_decay_scan(pool, np.geomspace(5.0, 50.0, 7), n_angles=16, order=1)
+        decay_from_grid(polar_grid(pool, np.geomspace(5.0, 50.0, 7), n_angles=16, order=1))
 
 
 def _synthetic_grid(radii, rate, peak_angle=2, stderr=1e-9, n_angles=8):

@@ -184,6 +184,11 @@ def test_config_errors_name_the_problem():
         model_from_config({"model": {"type": "biggins", "lambda": {"real": 1}}})
     with pytest.raises(ConfigError):
         model_from_config([1, 2, 3])
+    with pytest.raises(ConfigError, match="unexpected field 'lambda'"):
+        model_from_config({"type": "polya", "b": 8, "lambda": 0.5})
+    with pytest.raises(ConfigError, match=r"model.atoms\[0\]: unexpected field 'extra'"):
+        model_from_config({"type": "tabular",
+                           "atoms": [{"prob": 1.0, "weights": [0.5, 0.6], "extra": 3}]})
 
 
 def test_config_rejects_values_it_would_coerce():

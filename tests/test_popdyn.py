@@ -53,8 +53,8 @@ def test_single_output_recomputable_from_its_counter_block():
                      (0.4, (0.35, 0.3 + 0.25j, 0.25 - 0.2j))])
     n, k, seed = 400, 3, 21
     for model in (CyclicPolya(8), mixed):
-        result = run(model, n=n, K=k, seed=seed, keep_generations=(k - 1,))
-        prev = result.snapshots[k - 1].samples
+        result = run(model, n=n, K=k, seed=seed)
+        prev = run(model, n=n, K=k - 1, seed=seed).pool.samples
         budget = model.uniform_budget
         width = padded_width(budget + model.max_children)
         arities = set()
@@ -99,12 +99,18 @@ def test_default_p_for_model_without_exponent():
     assert result.p == 1.0
 
 
-def test_snapshots_recorded():
-    result = run(CyclicPolya(8), n=300, K=10, seed=5, keep_generations=(0, 4, 10))
-    assert sorted(result.snapshots) == [0, 4, 10]
-    assert (result.snapshots[0].samples == 1.0).all()
-    assert result.snapshots[4].generation == 4
-    assert np.array_equal(result.snapshots[10].samples, result.pool.samples)
+def test_run_extends_reproducibly():
+    # a shorter run is a prefix of a longer one, and iterating its pool on
+    # the later generations' streams reproduces the longer run's pool
+    model, seed = CyclicPolya(8), 5
+    short = run(model, n=300, K=4, seed=seed)
+    long = run(model, n=300, K=10, seed=seed)
+    assert short.summaries == long.summaries[:5]
+    pool = short.pool
+    for k in range(5, 11):
+        pool = iterate(pool, model, philox(seed, DOMAIN_POPDYN, k))
+    assert pool.generation == 10
+    assert pool.samples.tobytes() == long.pool.samples.tobytes()
 
 
 def test_overflow_identifies_index_and_draw():
