@@ -30,11 +30,12 @@ at n = 1000 (ratio 0.32), 9.4 against 8.8 ms at n = 2000 (0.70) and 16.8
 against 8.0 ms at n = 3000 (1.11).  The exact sum is also taken when the
 mass grid would exceed 2^23 cells (a bandwidth far below the output
 step, or far above the extent).  It runs in sample chunks whose kernel
-matrices hold 2^23 entries at 256 cells.  kde1d is always exact.
+matrices hold 2^23 entries at 256 cells.
 
 A pool whose imaginary (or real) part is exactly constant has no 2-d
-density; kde2d then falls back to a 1-d estimate on the other axis and
-returns a DensityLine identifying it.
+density; with default bandwidths kde2d then falls back to an exact 1-d
+per-sample sum on the other axis and returns a DensityLine identifying
+it.  Every grid axis spans mean +- 4 * max(std, h).
 """
 
 from __future__ import annotations
@@ -70,18 +71,15 @@ class DensityLine:
     values: np.ndarray
     bandwidth: float
     n_samples: int
-    axis: str = "re"  # which sample component the line estimates
+    axis: str  # which sample component the line estimates, "re" or "im"
 
 
-def _axis_grid(data: np.ndarray, h: float, cells: int, extent) -> np.ndarray:
+def _axis_grid(data: np.ndarray, h: float, cells: int) -> np.ndarray:
     if cells < 2:
         raise ValueError(f"a density grid needs at least 2 cells per axis, got {cells}")
-    if extent is not None:
-        lo, hi = float(extent[0]), float(extent[1])
-    else:
-        mid = float(data.mean())
-        span = 4.0 * max(float(data.std()), h)
-        lo, hi = mid - span, mid + span
+    mid = float(data.mean())
+    span = 4.0 * max(float(data.std()), h)
+    lo, hi = mid - span, mid + span
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
         raise ValueError(f"grid extent must be finite, got ({lo}, {hi})")
     if not hi > lo:
@@ -170,31 +168,21 @@ def _binned_2d(xg, yg, xs, ys, hx, hy) -> np.ndarray:
     return values
 
 
-def kde1d(samples, cells: int = 256, extent=None, bandwidth: float | None = None) -> DensityLine:
-    """1-d Gaussian KDE of real samples on a uniform grid."""
-    data = np.asarray(samples, dtype=np.float64)
-    if data.ndim != 1 or data.shape[0] < 1:
-        raise ValueError("need a one-dimensional, nonempty sample array")
+def _kde1d(data: np.ndarray, cells: int, axis: str) -> DensityLine:
+    """Exact 1-d Gaussian KDE of one pool component, Silverman bandwidth."""
     n = data.shape[0]
-    if bandwidth is None:
-        if n < 100:
-            raise ValueError(f"default bandwidth needs at least 100 samples, got {n}")
-        sd = float(data.std(ddof=1))
-        if sd == 0.0:
-            raise ValueError("samples are constant; pass an explicit bandwidth")
-        bandwidth = 1.06 * sd * n ** (-1.0 / 5.0)
-    h = float(bandwidth)
+    h = 1.06 * float(data.std(ddof=1)) * n ** (-1.0 / 5.0)
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
-    grid = _axis_grid(data, h, int(cells), extent)
+    grid = _axis_grid(data, h, cells)
     values = np.zeros(grid.shape[0])
     for a in range(0, n, _EXACT_CHUNK):
         values += _kernel_matrix(grid, data[a : a + _EXACT_CHUNK], h).sum(axis=1)
     values /= n
-    return DensityLine(grid, values, h, n)
+    return DensityLine(grid, values, h, n, axis)
 
 
-def kde2d(pool, cells: int = 256, extent=None, bandwidth=None):
+def kde2d(pool, cells: int = 256, bandwidth=None):
     """2-d Gaussian KDE of a complex pool; returns DensityGrid.
 
     With default bandwidths a pool needs at least 100 samples, and an axis
@@ -205,6 +193,7 @@ def kde2d(pool, cells: int = 256, extent=None, bandwidth=None):
     z = _sample_array(pool)
     xs, ys = z.real, z.imag
     n = z.shape[0]
+    cells = int(cells)
     if bandwidth is None:
         if n < 100:
             raise ValueError(f"default bandwidth needs at least 100 samples, got {n}")
@@ -213,20 +202,17 @@ def kde2d(pool, cells: int = 256, extent=None, bandwidth=None):
         if sx == 0.0 and sy == 0.0:
             raise ValueError("pool is a point mass; no density to estimate")
         if sy == 0.0:
-            line = kde1d(xs, cells, extent if extent is None else extent[0])
-            return DensityLine(line.x, line.values, line.bandwidth, n, axis="re")
+            return _kde1d(xs, cells, "re")
         if sx == 0.0:
-            line = kde1d(ys, cells, extent if extent is None else extent[1])
-            return DensityLine(line.x, line.values, line.bandwidth, n, axis="im")
+            return _kde1d(ys, cells, "im")
         hx = 1.06 * sx * n ** (-1.0 / 6.0)
         hy = 1.06 * sy * n ** (-1.0 / 6.0)
     else:
         hx, hy = float(bandwidth[0]), float(bandwidth[1])
     if not all(math.isfinite(h) and h > 0 for h in (hx, hy)):
         raise ValueError(f"bandwidths must be positive and finite, got ({hx}, {hy})")
-    ex, ey = (None, None) if extent is None else (extent[0], extent[1])
-    xg = _axis_grid(xs, hx, int(cells), ex)
-    yg = _axis_grid(ys, hy, int(cells), ey)
+    xg = _axis_grid(xs, hx, cells)
+    yg = _axis_grid(ys, hy, cells)
     values = _binned_2d(xg, yg, xs, ys, hx, hy)
     return DensityGrid(xg, yg, values, (hx, hy), n)
 

@@ -82,6 +82,8 @@ def read_pool_csv(path) -> SamplePool:
     generation, seed, fp = 0, None, ""
     if meta_path.exists():
         meta = json.loads(meta_path.read_text())
+        if not isinstance(meta, dict):
+            raise ValueError(f"{meta_path}: expected a JSON object")
         generation = int(meta.get("generation", 0))
         seed = meta.get("seed")
         fp = meta.get("model_fingerprint", "")

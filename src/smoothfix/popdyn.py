@@ -71,10 +71,12 @@ class SamplePool:
 
 
 def _sample_array(pool_or_samples) -> np.ndarray:
-    """The samples of a SamplePool or an array-like, as a nonempty complex128 vector."""
+    """The samples of a SamplePool or an array-like, as a nonempty, finite complex128 vector."""
     z = np.asarray(getattr(pool_or_samples, "samples", pool_or_samples), dtype=np.complex128)
     if z.ndim != 1 or z.shape[0] < 1:
         raise ValueError("need a one-dimensional, nonempty sample array")
+    if not np.isfinite(z).all():
+        raise ValueError("samples must be finite")
     return z
 
 

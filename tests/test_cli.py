@@ -260,6 +260,16 @@ def test_ecf_and_density_reject_non_finite_pool(tmp_path, capsys):
             assert not out.exists() and not io.manifest_path(out).exists()
 
 
+def test_ecf_rejects_pool_meta_that_is_not_an_object(tmp_path, capsys):
+    pool_path = _write_gaussian_pool(tmp_path)
+    meta_path = io.pool_meta_path(pool_path)
+    meta_path.write_text("[1, 2]")
+    out = tmp_path / "scan.csv"
+    assert main(["ecf", "--pool", pool_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"smoothfix: {meta_path}: expected a JSON object\n"
+    assert not out.exists()
+
+
 def test_ecf_header_only_pool_names_the_problem(tmp_path, capsys):
     pool_path = tmp_path / "empty.csv"
     pool_path.write_text("re,im\n")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from smoothfix import BigginsBinary, CyclicPolya, fourier
+from smoothfix.density import kde2d
 from smoothfix.fourier import (
     InsufficientSignalError,
     PolarGrid,
@@ -303,6 +304,21 @@ def test_residual_validations(polya_pool):
             message = re.escape(f"must be finite, got {complex(bad)!r}")
             with pytest.raises(ValueError, match=message):
                 call()
+
+
+@pytest.mark.parametrize("entry", [
+    lambda z: ecf(z, 1.0),
+    lambda z: wirtinger_derivative(z, 1.0),
+    lambda z: fixed_point_residual(z, CyclicPolya(8), 1.0, M=200, rng=1),
+    lambda z: polar_grid(z, [1.0], 8),
+    lambda z: kde2d(z),
+], ids=["ecf", "wirtinger_derivative", "fixed_point_residual", "polar_grid", "kde2d"])
+@pytest.mark.parametrize("bad", [math.inf, complex(0.0, -math.inf), math.nan])
+def test_non_finite_samples_rejected(entry, bad, gaussian_samples):
+    z = gaussian_samples.copy()
+    z[7] = bad
+    with pytest.raises(ValueError, match="samples must be finite"):
+        entry(z)
 
 
 def test_residual_memory_is_bounded():
