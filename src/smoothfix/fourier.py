@@ -12,8 +12,9 @@ grids go through one direct kernel that tiles frequencies x samples and
 sums prefac * e^{-i<xi,z>} per frequency.  Memory is bounded whatever the
 input size: each worker thread holds two 1 MiB phase buffers and, only
 with a prefactor (orders 1 and 2), a 2 MiB complex one, plus
-O(frequencies + samples) for inputs and results.  Threads take whole
-frequency tiles, and each frequency is summed in the same order whatever
+O(frequencies + samples) for inputs and results.  With W workers,
+worker w takes frequency tiles w, w + W, w + 2W, ..., so the split needs
+no shared state, and each frequency is summed in the same order whatever
 the tiling, so results are bit-identical for every thread count.
 
 fixed_point_residual needs its inner ECFs at many frequencies (2 x 10^4
@@ -72,7 +73,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -118,19 +118,14 @@ class PolarGrid:
     angles: np.ndarray
     values: np.ndarray  # complex, shape (n_radii, n_angles)
     stderrs: np.ndarray  # shape (n_radii, n_angles)
-    order: int
 
 
 @dataclass(frozen=True)
 class DecayScan:
-    radii: np.ndarray
     values: np.ndarray  # per-radius max modulus
-    stderrs: np.ndarray  # stderr at the maximizing angle
-    floors: np.ndarray  # 3x the per-point Monte Carlo stderr
+    floors: np.ndarray  # 3x the Monte Carlo stderr at the maximizing angle
     kept: np.ndarray  # radii entering the slope fit
     slope: float
-    n_angles: int
-    order: int
 
 
 def _prefactor(z: np.ndarray, order: int, which: str = "d_xibar") -> np.ndarray | None:
@@ -169,26 +164,21 @@ def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
     frequencies walks the samples in _CHUNK-wide pieces and reduces each
     piece per frequency, so a frequency's summation order, and with it
     every output bit, does not depend on the tiling or on the number of
-    threads.  Worker threads take whole tiles and write disjoint entries
-    of the result.
+    threads.  With W workers, worker w takes tiles w, w + W, ..., and the
+    workers write disjoint entries of the result.
     """
     n, p = z.shape[0], xis.shape[0]
     zx, zy = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
     xr, xy = np.ascontiguousarray(xis.real), np.ascontiguousarray(xis.imag)
     rows = min(_BUFFER_BYTES // (_CHUNK * 8), p)
     acc = np.zeros(p, np.complex128)
-    tiles = iter(range(0, p, rows))
-    lock = threading.Lock()
+    workers = min(_workers(threads), -(-p // rows))
 
-    def work() -> None:
+    def work(w: int) -> None:
         size = rows * min(n, _CHUNK)
         ph_buf, tmp_buf = np.empty(size), np.empty(size)
         e_buf = None if prefac is None else np.empty(size, np.complex128)
-        while True:
-            with lock:
-                lo = next(tiles, None)
-            if lo is None:
-                return
+        for lo in range(w * rows, p, workers * rows):
             hi = min(lo + rows, p)
             for a in range(0, n, _CHUNK):
                 b = min(a + _CHUNK, n)
@@ -211,13 +201,11 @@ def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
                 e *= prefac[a:b]
                 acc[lo:hi] += e.sum(axis=1)
 
-    workers = min(_workers(threads), -(-p // rows))
     if workers == 1:
-        work()
+        work(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(work) for _ in range(workers)]:
-                future.result()
+            list(pool.map(work, range(workers)))
     return acc
 
 
@@ -367,7 +355,7 @@ def fixed_point_residual(pool, model, xi: complex, M: int = 1000, rng=None) -> f
     values, counts = model.draw_batch(rng, M)
     inner = _gridded_sums(z, np.conj(values) * xi) / z.shape[0]
     products = np.multiply.reduceat(inner, np.concatenate(([0], np.cumsum(counts[:-1]))))
-    lhs = ecf(z, xi).value
+    lhs = complex(_statistic(z, np.array([xi]), None)[0][0])
     return float(abs(lhs - complex(products.mean())))
 
 
@@ -391,7 +379,7 @@ def polar_grid(pool, radii, n_angles: int = 16, order: int = 0,
     xis = (r[:, None] * np.exp(1j * angles)[None, :]).reshape(-1)
     values, stderrs = _statistic(z, xis, _prefactor(z, order), threads)
     shape = (r.shape[0], n_angles)
-    return PolarGrid(r, angles, values.reshape(shape), stderrs.reshape(shape), order)
+    return PolarGrid(r, angles, values.reshape(shape), stderrs.reshape(shape))
 
 
 def decay_from_grid(grid: PolarGrid) -> DecayScan:
@@ -406,8 +394,7 @@ def decay_from_grid(grid: PolarGrid) -> DecayScan:
     best = mods.argmax(axis=1)
     rows = np.arange(r.shape[0])
     vmax = mods[rows, best]
-    errs = grid.stderrs[rows, best]
-    floors = 3.0 * errs
+    floors = 3.0 * grid.stderrs[rows, best]
     kept = vmax > floors
     if int(kept.sum()) < 3:
         raise InsufficientSignalError(
@@ -415,4 +402,4 @@ def decay_from_grid(grid: PolarGrid) -> DecayScan:
             "exceed 3x their Monte Carlo noise floor (need at least 3)"
         )
     slope = float(np.polyfit(np.log(r[kept]), np.log(vmax[kept]), 1)[0])
-    return DecayScan(r, vmax, errs, floors, kept, slope, grid.angles.shape[0], grid.order)
+    return DecayScan(vmax, floors, kept, slope)

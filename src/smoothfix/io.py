@@ -79,14 +79,25 @@ def read_pool_csv(path) -> SamplePool:
         raise ValueError(f"{path}: non-finite sample on line {int(bad[0]) + 2}")
     samples = data[:, 0] + 1j * data[:, 1]
     meta_path = pool_meta_path(path)
-    generation, seed, fp = 0, None, ""
+    meta = {}
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
+        try:
+            meta = json.loads(meta_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{meta_path}: invalid JSON: {exc}")
         if not isinstance(meta, dict):
             raise ValueError(f"{meta_path}: expected a JSON object")
-        generation = int(meta.get("generation", 0))
-        seed = meta.get("seed")
-        fp = meta.get("model_fingerprint", "")
+    # JSON integers load as int; `type(...) is int` also rejects true and false
+    generation = meta.get("generation", 0)
+    if not (type(generation) is int and generation >= 0):
+        raise ValueError(f"{meta_path}: generation must be a non-negative integer, "
+                         f"got {generation!r}")
+    seed = meta.get("seed")
+    if not (seed is None or type(seed) is int):
+        raise ValueError(f"{meta_path}: seed must be an integer or null, got {seed!r}")
+    fp = meta.get("model_fingerprint", "")
+    if not isinstance(fp, str):
+        raise ValueError(f"{meta_path}: model_fingerprint must be a string, got {fp!r}")
     return SamplePool(generation, samples, seed, fp)
 
 

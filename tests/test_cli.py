@@ -270,6 +270,22 @@ def test_ecf_rejects_pool_meta_that_is_not_an_object(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("meta", [
+    '{"generation": null}', '{"generation": "x"}', '{"generation": 2.7}',
+    '{"generation": true}', '{"generation": -3}', '{"seed": 1.5}', '{"seed": "1"}',
+    '{"model_fingerprint": 5}', "{bad",
+])
+def test_ecf_rejects_invalid_pool_meta(tmp_path, capsys, meta):
+    pool_path = _write_gaussian_pool(tmp_path, n=200)
+    meta_path = io.pool_meta_path(pool_path)
+    meta_path.write_text(meta)
+    out = tmp_path / "scan.csv"
+    assert main(["ecf", "--pool", pool_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"smoothfix: {meta_path}: ") and "Traceback" not in err
+    assert not out.exists() and not io.manifest_path(out).exists()
+
+
 def test_ecf_header_only_pool_names_the_problem(tmp_path, capsys):
     pool_path = tmp_path / "empty.csv"
     pool_path.write_text("re,im\n")

@@ -5,7 +5,6 @@ import os
 import re
 import sys
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -130,10 +129,8 @@ def test_worker_count_capped_at_usable_cores(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn):
-            future = Future()
-            future.set_result(fn())
-            return future
+        def map(self, fn, items):
+            return [fn(item) for item in items]
 
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
@@ -146,6 +143,22 @@ def test_worker_count_capped_at_usable_cores(monkeypatch):
     grid = polar_grid(z, radii, n_angles=64, threads=10**6)
     assert requested == ([cores] if cores > 1 else [])
     assert grid.values.tobytes() == expected.values.tobytes()
+
+
+def test_single_tile_calls_start_no_thread(monkeypatch, polya_pool):
+    # one frequency tile runs inline: a pool that cannot be built must not
+    # be asked for
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a single-tile call started a thread pool")
+
+    monkeypatch.setattr(fourier, "ThreadPoolExecutor", NoPool)
+    z = polya_pool.samples
+    ecf(z, 1.0 - 0.5j)
+    for which in ("d_xi", "d_xibar"):
+        wirtinger_derivative(z, 1.0 - 0.5j, which)
+    polar_grid(z, [1.0], n_angles=8, threads=8)
+    fixed_point_residual(z, CyclicPolya(8), 1.0 + 0.5j, M=200, rng=1)  # the grid fits
 
 
 @pytest.mark.parametrize("name", ["biggins_tilt23", "polya_b8"])
@@ -335,6 +348,19 @@ def test_residual_memory_is_bounded():
     assert peak < 3.0e6
 
 
+def test_residual_checks_samples_once(monkeypatch, polya_pool):
+    calls = []
+    check = fourier._sample_array
+
+    def counted(pool):
+        calls.append(1)
+        return check(pool)
+
+    monkeypatch.setattr(fourier, "_sample_array", counted)
+    fixed_point_residual(polya_pool, CyclicPolya(8), 2.0 - 1.0j, M=200, rng=1)
+    assert len(calls) == 1
+
+
 def test_residual_deterministic_in_seed(polya_pool):
     a = fixed_point_residual(polya_pool, CyclicPolya(8), 2.0 - 1.0j, M=500, rng=11)
     b = fixed_point_residual(polya_pool, CyclicPolya(8), 2.0 - 1.0j, M=500, rng=11)
@@ -368,7 +394,7 @@ def _synthetic_grid(radii, rate, peak_angle=2, stderr=1e-9, n_angles=8):
     values = 0.1 * (radii**rate)[:, None] * np.ones(n_angles)
     values[:, :peak_angle] *= 0.5  # per-radius max must land at a known column
     errs = np.full((radii.shape[0], n_angles), stderr)
-    return PolarGrid(radii, angles, values.astype(np.complex128), errs, order=1)
+    return PolarGrid(radii, angles, values.astype(np.complex128), errs)
 
 
 def test_decay_fit_recovers_exact_rate():
@@ -387,7 +413,7 @@ def test_decay_fit_excludes_noise_dominated_radii():
     grid = _synthetic_grid(radii, rate=-2.0, stderr=1e-9)
     values = grid.values.copy()
     values[4:] = 1e-10  # below 3 * stderr at the outer radii
-    gated = PolarGrid(grid.radii, grid.angles, values, grid.stderrs, order=1)
+    gated = PolarGrid(grid.radii, grid.angles, values, grid.stderrs)
     scan = decay_from_grid(gated)
     assert list(scan.kept) == [True] * 4 + [False] * 3
     assert scan.slope == pytest.approx(-2.0, abs=1e-12)
