@@ -2,12 +2,21 @@
 
 All floats are written with %.17g (or repr), so files round-trip float64
 exactly and identical computations produce byte-identical artifacts.
+
+The CSV writers write the bytes of np.savetxt(fmt="%.17g", delimiter=",",
+comments="") without its one % operation per row.  A table is formatted
+in blocks of 4096 rows (_BLOCK_ROWS), each by one % on the "%.17g,..."
+row template repeated once per row and fed with the block's floats from
+.tolist(), so only one block's columns are ever stacked.  A 2-d density
+grid formats each x and each y coordinate once, then fills one template
+per grid row with that row's values.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -16,16 +25,34 @@ from . import __version__
 from .popdyn import SamplePool
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def write_json(path, obj) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(_json_text(obj))
     return path
 
 
+_BLOCK_ROWS = 4096  # CSV rows formatted per % operation
+
+
+@contextmanager
+def _open_csv(path: Path, header: str):
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(header + "\n")
+        yield f
+
+
 def _savetxt(path, header: str, columns) -> Path:
+    """Write equal-length columns as %.17g CSV rows under a header line."""
     path = Path(path)
-    data = np.column_stack(columns)
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with _open_csv(path, header) as f:
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[lo : lo + _BLOCK_ROWS] for c in columns])
+            f.write((row * len(block)) % tuple(block.ravel().tolist()))
     return path
 
 
@@ -49,7 +76,7 @@ def pool_meta_path(csv_path) -> Path:
 
 
 def write_pool_csv(path, pool: SamplePool, summaries=None, p: float | None = None) -> Path:
-    path = _savetxt(path, "re,im", (pool.samples.real, pool.samples.imag))
+    """Write the pool CSV and its .meta.json; a meta that cannot be serialised writes neither."""
     meta = {
         "generation": pool.generation,
         "seed": pool.seed,
@@ -60,7 +87,9 @@ def write_pool_csv(path, pool: SamplePool, summaries=None, p: float | None = Non
         meta["p"] = p
     if summaries is not None:
         meta["summaries"] = summary_dicts(summaries)
-    write_json(pool_meta_path(path), meta)
+    meta_text = _json_text(meta)
+    path = _savetxt(path, "re,im", (pool.samples.real, pool.samples.imag))
+    pool_meta_path(path).write_text(meta_text)
     return path
 
 
@@ -130,12 +159,17 @@ def write_scan_csv(path, grid) -> Path:
 
 
 def write_density_csv(path, density) -> Path:
-    if hasattr(density, "y"):
-        gx, gy = np.meshgrid(density.x, density.y, indexing="ij")
-        return _savetxt(
-            path, "x,y,value", (gx.reshape(-1), gy.reshape(-1), density.values.reshape(-1))
-        )
-    return _savetxt(path, "x,value", (density.x, density.values))
+    if not hasattr(density, "y"):
+        return _savetxt(path, "x,value", (density.x, density.values))
+    path = Path(path)
+    # row i of the grid is the lines "x_i,y_j,value_ij" for every j, with
+    # x_i and y_j formatted once here and only the values left to fill
+    cells = ["%.17g," % y + "%.17g\n" for y in density.y.tolist()]
+    with _open_csv(path, "x,y,value") as f:
+        for x, values in zip(density.x.tolist(), density.values):
+            prefix = "%.17g," % x
+            f.write((prefix + prefix.join(cells)) % tuple(values.tolist()))
+    return path
 
 
 def manifest_path(out_path) -> Path:

@@ -102,7 +102,7 @@ def init_pool(n: int, value: complex = 1.0, seed: int | None = None,
     if n < 2:
         raise ValueError(f"pool size must be at least 2, got {n}")
     samples = np.full(int(n), complex(value), dtype=np.complex128)
-    return SamplePool(0, samples, seed, model_fingerprint)
+    return SamplePool(0, samples, None if seed is None else int(seed), model_fingerprint)
 
 
 def _gather_used(block: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -130,12 +130,19 @@ def iterate(pool: SamplePool, model, rng: np.random.Generator) -> SamplePool:
         values, counts = model.weights_from_uniforms(u[:, :budget])
         iu = _gather_used(u[:, budget : budget + max_c], counts)
         idx = np.minimum((iu * n).astype(np.int64), n - 1)
-        offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
         with np.errstate(over="ignore", invalid="ignore"):
-            new = np.add.reduceat(values * pool.samples[idx], offsets)
+            products = values * pool.samples[idx]
+            # reduceat adds to a row's first product numpy's sum of the rest,
+            # started from -0.0: bit for bit p0 + p1 for two children, but
+            # p0 + (p1 + p2) for three, so only pairs take the column sum
+            if (counts == 2).all():
+                new = products[0::2] + products[1::2]
+            else:
+                offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
+                new = np.add.reduceat(products, offsets)
         if not np.isfinite(new).all():
             row = int(np.flatnonzero(~np.isfinite(new))[0])
-            lo = int(offsets[row])
+            lo = int(counts[:row].sum())
             hi = lo + int(counts[row])
             raise PoolOverflowError(
                 pool.generation + 1,

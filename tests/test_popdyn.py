@@ -142,3 +142,42 @@ def test_mixed_offspring_counts():
     result = run(model, n=1000, K=10, seed=2)
     assert np.isfinite(result.pool.samples).all()
     assert abs(result.summaries[-1].mean - 1.0) <= 4.0 * result.summaries[-1].mean_se
+
+
+def _reduceat_generation(pool, model, rng):
+    """One generation of at most _CHUNK_ROWS outputs, every row summed by np.add.reduceat."""
+    n = pool.n
+    budget, max_c = model.uniform_budget, model.max_children
+    u = rng.random((n, padded_width(budget + max_c)))
+    values, counts = model.weights_from_uniforms(u[:, :budget])
+    iu = u[:, budget : budget + max_c][np.arange(max_c) < counts[:, None]]
+    idx = np.minimum((iu * n).astype(np.int64), n - 1)
+    offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return values, np.add.reduceat(values * pool.samples[idx], offsets)
+
+
+def test_pair_sum_matches_reduceat_bits():
+    """Rows of two children are summed column-wise, to the bits of reduceat,
+    signed zeros from exact cancellation included."""
+    rng = np.random.default_rng(8)
+    zeros = np.array([0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)])
+    samples = np.concatenate([zeros.repeat(100), rng.standard_normal(600) * 1e5 ** rng.random(600)])
+    pool = popdyn.SamplePool(0, samples + 0j, 1, "")
+    cancelling = Tabular([(0.5, (1.0, -1.0)), (0.5, (1j, -1j))])
+    for model in (CyclicPolya(8), BigginsBinary(1.0 + 0.5j), cancelling):
+        out = iterate(pool, model, philox(2, DOMAIN_POPDYN, 1))
+        _, expected = _reduceat_generation(pool, model, philox(2, DOMAIN_POPDYN, 1))
+        assert out.samples.tobytes() == expected.tobytes()
+
+
+def test_pair_sum_overflow_names_the_reduceat_row_and_draw():
+    model = Tabular([(0.5, (1.0, 1.0)), (0.5, (1.0, -1.0))])
+    samples = np.where(np.arange(64) % 2 == 0, 1e308, 1.0).astype(np.complex128)
+    pool = popdyn.SamplePool(0, samples, 1, "")
+    values, expected = _reduceat_generation(pool, model, philox(5, DOMAIN_POPDYN, 1))
+    row = int(np.flatnonzero(~np.isfinite(expected))[0])
+    with pytest.raises(PoolOverflowError) as info:
+        iterate(pool, model, philox(5, DOMAIN_POPDYN, 1))
+    assert info.value.index == row
+    assert info.value.weights == tuple(complex(v) for v in values[2 * row : 2 * row + 2])
