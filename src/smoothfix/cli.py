@@ -124,9 +124,10 @@ def _cmd_martingale(args) -> int:
 def _cmd_ecf(args) -> int:
     pool = _load_pool(args.pool)
     radii = _floats(args.radii, "--radii")
-    if args.order >= 1 and len(radii) < 3:
+    distinct = len(set(radii))
+    if args.order >= 1 and distinct < 3:
         raise CliError(f"--order {args.order} fits a decay slope and needs at least 3 radii, "
-                       f"got {len(radii)}")
+                       f"got {distinct} distinct of {len(radii)}")
     grid = polar_grid(pool, radii, args.angles, order=args.order, threads=args.threads)
     extra = {
         "order": args.order,

@@ -15,12 +15,18 @@ recomputed in isolation up to rounding.
 The sample bits are not independent of the chunk size.  numpy elides the
 temporary of an expression such as zeta * np.exp(...) in
 CyclicPolya.weights_from_uniforms, or values * pool.samples[idx] below,
-only when it is 256 KiB or larger, and the elided in-place form rounds
-some complex products differently by one ulp.  On polya b = 8 at
-n = 10^5, 2^14-row chunks in place of 2^16 changed 761 of the 2 x 10^5
-weights of generation 1 and 2330 samples after three generations (by at
-most 4.5e-16).  _CHUNK_ROWS is therefore fixed, and reusing chunk
-buffers through out= would change pool bytes as well.
+only when it is 256 KiB or larger: zeta * tmp then runs as tmp *= zeta,
+with the operands swapped, and a complex product can round differently
+by one ulp when its operands are swapped.  On polya b = 8 at n = 10^5,
+2^14-row chunks in place of 2^16 changed 761 of the 2 x 10^5 weights of
+generation 1 and 2330 samples after three generations (by at most
+4.5e-16).  _CHUNK_ROWS is therefore fixed.  The bits follow the operand
+order, not the buffer: np.multiply(tmp, zeta, out=buf) gives the elided
+bits and np.multiply(zeta, tmp, out=buf) the non-elided ones (checked at
+65536, 34464, 16384, 16383 and 10^4 rows, for the polya weights and for
+values * pool.samples[idx]).  Chunk buffers can therefore be reused
+through out= without changing pool bytes, provided each product keeps
+the operand order that elision gives it at that size.
 
 The pool mean is a martingale across generations, but resampling makes
 samples within a generation dependent: the variance of the pool mean
@@ -40,7 +46,10 @@ import numpy as np
 from .model import fingerprint
 from .rng import DOMAIN_POPDYN, padded_width, philox
 
-_CHUNK_ROWS = 1 << 16  # output rows per block of uniforms; changing it changes sample bits
+# Output rows per block of uniforms.  Changing it changes sample bits: it
+# decides which products numpy elides into swapped-operand in-place form
+# (module docstring).
+_CHUNK_ROWS = 1 << 16
 
 
 class PoolOverflowError(ArithmeticError):

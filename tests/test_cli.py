@@ -170,16 +170,18 @@ def test_ecf_rejects_non_finite_radii(tmp_path, capsys):
 
 
 def test_ecf_slope_needs_three_radii(tmp_path, capsys):
-    # checked before the scan: every radius here has signal, so this used
-    # to scan and then fail at the fit with exit 2
+    # checked before the scan: every radius here has signal, so "1,2" used
+    # to scan and then fail at the fit with exit 2, and "5,5,5" to write a
+    # slope fitted over one distinct radius
     pool_path = _write_gaussian_pool(tmp_path)
     out = tmp_path / "scan.csv"
-    for order in ("1", "2"):
-        argv = ["ecf", "--pool", pool_path, "--radii", "1,2", "--angles", "8",
-                "--order", order, "--out", str(out)]
-        assert main(argv) == 1
-        assert "at least 3 radii, got 2" in capsys.readouterr().err
-        assert not out.exists() and not io.manifest_path(out).exists()
+    for radii, got in (("1,2", "got 2 distinct of 2"), ("5,5,5", "got 1 distinct of 3")):
+        for order in ("1", "2"):
+            argv = ["ecf", "--pool", pool_path, "--radii", radii, "--angles", "8",
+                    "--order", order, "--out", str(out)]
+            assert main(argv) == 1
+            assert f"at least 3 radii, {got}" in capsys.readouterr().err
+            assert not out.exists() and not io.manifest_path(out).exists()
 
 
 def test_martingale_rejects_negative_depth(tmp_path, capsys, polya_cfg):

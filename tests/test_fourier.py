@@ -78,40 +78,79 @@ def test_ecf_at_zero_is_one(gaussian_samples):
 
 
 def test_polar_grid_matches_pointwise_ecf(gaussian_samples):
+    # angle j + 4 of the 8 is evaluated at exactly -xi_j
     grid = polar_grid(gaussian_samples, [0.5, 2.0], n_angles=8, order=0)
     for i, r in enumerate((0.5, 2.0)):
         for j, t in enumerate(grid.angles):
-            xi = r * complex(math.cos(t), math.sin(t))
+            if j < 4:
+                xi = r * complex(math.cos(t), math.sin(t))
+            else:
+                xi = -(r * complex(math.cos(grid.angles[j - 4]), math.sin(grid.angles[j - 4])))
             assert grid.values[i, j] == ecf(gaussian_samples, xi).value
 
 
+def _direct_grid(z, radii, n_angles, order):
+    """polar_grid's frequencies, one per angle, through the direct kernel on one thread.
+
+    With an even n_angles the second half of each radius is the exact
+    negation of the first, as polar_grid defines it.
+    """
+    radii = np.asarray(radii, dtype=np.float64)
+    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
+    half = n_angles // 2 if n_angles % 2 == 0 else n_angles
+    xis = radii[:, None] * np.exp(1j * angles[:half])[None, :]
+    if half < n_angles:
+        xis = np.concatenate((xis, -xis), axis=1)
+    values, stderrs = fourier._statistic(z, xis.reshape(-1), fourier._prefactor(z, order), 1)
+    shape = (radii.shape[0], n_angles)
+    return values.reshape(shape), stderrs.reshape(shape)
+
+
 def test_fourier_kernel_thread_invariance(polya_pool, monkeypatch):
-    # two sample chunks and nine (polar grid) or eighty (residual-shaped)
-    # frequency tiles; more threads than cores (the core cap is lifted
-    # here) and frequent thread switches, so a tile taken twice or lost
-    # would show
+    # two sample chunks and nine (mirrored polar grid), seven (odd polar
+    # grid) or eighty (residual-shaped) frequency tiles; more threads than
+    # cores (the core cap is lifted here) and frequent thread switches, so
+    # a tile taken twice or lost would show.  Every thread count matches
+    # the direct kernel on one thread bit for bit, signed zeros included.
     monkeypatch.setattr(fourier, "_workers", lambda threads: threads)
     rng = philox(15, 0)
     z = rng.standard_normal((1 << 14) + 300) + 1j * rng.standard_normal((1 << 14) + 300)
     # the inner frequencies of fixed_point_residual, as its fallback sums them
     freqs = np.conj(CyclicPolya(8).draw_batch(philox(11, DOMAIN_FOURIER, 0), 320)[0]) * 3.0
     pool = np.tile(polya_pool.samples, 5)
+    radii = [0.5, 2.0, 8.0]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for order in (0, 1, 2):
-            one = polar_grid(z, [0.5, 2.0, 8.0], n_angles=24, order=order, threads=1)
-            for threads in (2, 7):
-                many = polar_grid(z, [0.5, 2.0, 8.0], n_angles=24, order=order,
-                                  threads=threads)
-                assert one.values.tobytes() == many.values.tobytes()
-                assert one.stderrs.tobytes() == many.stderrs.tobytes()
+            for n_angles in (48, 17):
+                values, stderrs = _direct_grid(z, radii, n_angles, order)
+                for threads in (1, 2, 7):
+                    grid = polar_grid(z, radii, n_angles=n_angles, order=order,
+                                      threads=threads)
+                    assert grid.values.tobytes() == values.tobytes()
+                    assert grid.stderrs.tobytes() == stderrs.tobytes()
         one = _fourier_sums(pool, freqs, None, 1)
         for threads in (2, 7):
             many = _fourier_sums(pool, freqs, None, threads)
             assert one.tobytes() == many.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("name", ["polya_b8", "biggins_tilt23"])
+def test_mirrored_grid_matches_direct_frequencies(name, polya_pool, tilt23_pool):
+    # angle k + A/2 is taken at -xi_k, which differs from r e^{i theta} by
+    # an ulp or so; the values stay within 1e-12 relative of the direct
+    # sums at r e^{i theta}
+    z = (polya_pool if name == "polya_b8" else tilt23_pool).samples
+    radii = np.geomspace(0.5, 50.0, 5)
+    for order in (0, 1, 2):
+        grid = polar_grid(z, radii, n_angles=16, order=order)
+        xis = (radii[:, None] * np.exp(1j * grid.angles)[None, :]).reshape(-1)
+        direct = fourier._statistic(z, xis, fourier._prefactor(z, order), 1)[0]
+        gap = np.abs(grid.values.reshape(-1) - direct)
+        assert (gap <= 1e-12 * np.maximum(1.0, np.abs(direct))).all()
 
 
 def test_worker_count_capped_at_usable_cores(monkeypatch):
@@ -137,7 +176,8 @@ def test_worker_count_capped_at_usable_cores(monkeypatch):
     else:
         cores = os.cpu_count() or 1
     z = philox(17, 0).standard_normal(100) + 0j
-    radii = np.linspace(1.0, 2.0, cores + 1)  # 8 (cores + 1) tiles of 8 frequencies
+    # 64 angles are 32 mirrored pairs: 4 (cores + 1) tiles of 8 frequencies
+    radii = np.linspace(1.0, 2.0, cores + 1)
     expected = polar_grid(z, radii, n_angles=64, threads=1)
     monkeypatch.setattr(fourier, "ThreadPoolExecutor", InlinePool)
     grid = polar_grid(z, radii, n_angles=64, threads=10**6)
@@ -404,6 +444,16 @@ def test_decay_fit_recovers_exact_rate():
     assert scan.kept.all()
     assert np.array_equal(scan.values, 0.1 * radii**-1.2)
     assert np.array_equal(scan.floors, np.full(7, 3.0 * 1e-9))
+
+
+def test_decay_fit_counts_distinct_radii():
+    # one radius repeated three times used to give a rank-deficient fit
+    # and a slope
+    for radii in ([5.0, 5.0, 5.0], [5.0, 5.0, 10.0, 10.0]):
+        with pytest.raises(InsufficientSignalError, match="distinct"):
+            decay_from_grid(_synthetic_grid(radii, rate=-1.2))
+    scan = decay_from_grid(_synthetic_grid([5.0, 5.0, 10.0, 20.0], rate=-1.2))
+    assert scan.slope == pytest.approx(-1.2, abs=1e-12)
 
 
 def test_decay_fit_excludes_noise_dominated_radii():
