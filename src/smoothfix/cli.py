@@ -34,6 +34,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: a removed option such as sample --p must not
+        # silently become --pool-size
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise CliError(message)
 
@@ -85,8 +90,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_sample(args) -> int:
     seed = _require_seed(args)
     model = _load_model(args.model)
-    result = popdyn.run(model, n=args.pool_size, K=args.iterations, seed=seed, p=args.p)
-    out = io.write_pool_csv(args.out, result.pool, result.summaries, result.p)
+    result = popdyn.run(model, n=args.pool_size, K=args.iterations, seed=seed)
+    out = io.write_pool_csv(args.out, result.pool, result.summaries)
     io.write_manifest(out, args.argv, seed, fingerprint(model),
                       outputs=[out, io.pool_meta_path(out)])
     s = result.summaries[-1]
@@ -197,8 +202,7 @@ def _cmd_figures(args) -> int:
         model = model_from_config({"model": cfg})
         result = popdyn.run(model, n=n, K=k, seed=seed)
         den = kde2d(result.pool, cells=args.grid)  # before any write, so a failure leaves none
-        pool_path = io.write_pool_csv(outdir / f"{name}_pool.csv",
-                                      result.pool, result.summaries, result.p)
+        pool_path = io.write_pool_csv(outdir / f"{name}_pool.csv", result.pool, result.summaries)
         den_path = io.write_density_csv(outdir / f"{name}_density.csv", den)
         io.write_manifest(outdir / f"{name}.csv", args.argv, seed, fingerprint(model),
                           outputs=[pool_path, den_path],
@@ -233,8 +237,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--pool-size", type=int, default=10_000)
     p.add_argument("--iterations", type=int, default=50)
-    p.add_argument("--p", type=float, default=None,
-                   help="moment order for summaries (default: alpha - 0.1)")
     p.add_argument("--out", default="pool.csv")
     p.set_defaults(func=_cmd_sample)
 

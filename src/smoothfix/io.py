@@ -64,7 +64,6 @@ def summary_dicts(summaries) -> list[dict]:
             "mean_im": s.mean.imag,
             "spread": s.spread,
             "mean_se": s.mean_se,
-            "p_moment": s.p_moment,
             "im_dispersion": s.im_dispersion,
         }
         for s in summaries
@@ -75,7 +74,7 @@ def pool_meta_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".meta.json")
 
 
-def write_pool_csv(path, pool: SamplePool, summaries=None, p: float | None = None) -> Path:
+def write_pool_csv(path, pool: SamplePool, summaries=None) -> Path:
     """Write the pool CSV and its .meta.json; a meta that cannot be serialised writes neither."""
     meta = {
         "generation": pool.generation,
@@ -83,8 +82,6 @@ def write_pool_csv(path, pool: SamplePool, summaries=None, p: float | None = Non
         "model_fingerprint": pool.model_fingerprint,
         "n": pool.n,
     }
-    if p is not None:
-        meta["p"] = p
     if summaries is not None:
         meta["summaries"] = summary_dicts(summaries)
     meta_text = _json_text(meta)
@@ -127,6 +124,10 @@ def read_pool_csv(path) -> SamplePool:
     fp = meta.get("model_fingerprint", "")
     if not isinstance(fp, str):
         raise ValueError(f"{meta_path}: model_fingerprint must be a string, got {fp!r}")
+    n = meta.get("n", samples.shape[0])
+    if not (type(n) is int and n == samples.shape[0]):
+        raise ValueError(f"{meta_path}: n must be the integer {samples.shape[0]}, "
+                         f"the sample count of {path.name}, got {n!r}")
     return SamplePool(generation, samples, seed, fp)
 
 

@@ -91,11 +91,12 @@ def _sample_array(pool_or_samples) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenerationSummary:
+    """The pool's mean |X|^2 is spread**2 * (n - 1) / n + |mean|**2."""
+
     generation: int
     mean: complex
     spread: float  # pool standard deviation, sqrt(var_re + var_im)
     mean_se: float  # accumulated SE of the pool mean across generations
-    p_moment: float  # mean |X|^p
     im_dispersion: float
 
 
@@ -103,7 +104,6 @@ class GenerationSummary:
 class RunResult:
     pool: SamplePool
     summaries: tuple[GenerationSummary, ...]
-    p: float
 
 
 def init_pool(n: int, value: complex = 1.0, seed: int | None = None,
@@ -162,24 +162,13 @@ def iterate(pool: SamplePool, model, rng: np.random.Generator) -> SamplePool:
     return SamplePool(pool.generation + 1, out, pool.seed, pool.model_fingerprint)
 
 
-def _default_p(model) -> float:
-    from .analysis import SubcriticalMeanError, find_alpha
-
-    try:
-        alpha = find_alpha(model).alpha
-    except SubcriticalMeanError:
-        return 1.0
-    return 1.0 if alpha is None else max(alpha - 0.1, 0.5 * alpha)
-
-
 def _variances(pool: SamplePool) -> tuple[float, float]:
     """Sample variances (ddof=1) of the real and imaginary parts."""
     z = pool.samples
     return float(z.real.var(ddof=1)), float(z.imag.var(ddof=1))
 
 
-def _summarize(pool: SamplePool, p: float, var: tuple[float, float],
-               cum_var: float) -> GenerationSummary:
+def _summarize(pool: SamplePool, var: tuple[float, float], cum_var: float) -> GenerationSummary:
     z = pool.samples
     var_re, var_im = var
     return GenerationSummary(
@@ -187,13 +176,11 @@ def _summarize(pool: SamplePool, p: float, var: tuple[float, float],
         mean=complex(z.mean()),
         spread=math.sqrt(var_re + var_im),
         mean_se=math.sqrt(cum_var / z.shape[0]),
-        p_moment=float(np.mean(np.abs(z) ** p)),
         im_dispersion=math.sqrt(var_im),
     )
 
 
-def run(model, n: int, K: int, seed: int, p: float | None = None,
-        init_value: complex = 1.0) -> RunResult:
+def run(model, n: int, K: int, seed: int, init_value: complex = 1.0) -> RunResult:
     """Run K generations from a constant pool and summarize each one.
 
     Generation k consumes the stream keyed by (seed, DOMAIN_POPDYN, k), so
@@ -203,17 +190,13 @@ def run(model, n: int, K: int, seed: int, p: float | None = None,
     """
     if K < 1:
         raise ValueError(f"K >= 1 generations required, got {K}")
-    if p is None:
-        p = _default_p(model)
-    if not (math.isfinite(p) and p > 0.0):
-        raise ValueError(f"moment order p must be finite and positive, got {p}")
     fp = fingerprint(model)
     pool = init_pool(n, init_value, seed, fp)
     cum_var = 0.0
-    summaries = [_summarize(pool, p, _variances(pool), cum_var)]
+    summaries = [_summarize(pool, _variances(pool), cum_var)]
     for k in range(1, K + 1):
         pool = iterate(pool, model, philox(seed, DOMAIN_POPDYN, k))
         var = _variances(pool)
         cum_var += var[0] + var[1]
-        summaries.append(_summarize(pool, p, var, cum_var))
-    return RunResult(pool=pool, summaries=tuple(summaries), p=p)
+        summaries.append(_summarize(pool, var, cum_var))
+    return RunResult(pool=pool, summaries=tuple(summaries))

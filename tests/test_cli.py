@@ -213,16 +213,25 @@ def test_martingale_rejects_bad_alpha(tmp_path, capsys, polya_cfg):
         assert not out.exists() and not io.manifest_path(out).exists()
 
 
-def test_sample_rejects_bad_moment_order(tmp_path, capsys, polya_cfg):
+def test_sample_has_no_moment_order_option(tmp_path, capsys, polya_cfg):
     out = tmp_path / "pool.csv"
-    for p in ("nan", "inf", "-1", "0"):
-        argv = ["sample", "--model", polya_cfg, "--seed", "1", "--pool-size", "50",
-                "--iterations", "2", "--p", p, "--out", str(out)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "p must be finite and positive" in err and p in err
-        assert not out.exists() and not io.pool_meta_path(out).exists()
-        assert not io.manifest_path(out).exists()
+    argv = ["sample", "--model", polya_cfg, "--seed", "1", "--pool-size", "50",
+            "--iterations", "2", "--p", "1.3", "--out", str(out)]
+    assert main(argv) == 1
+    assert "unrecognized arguments: --p 1.3" in capsys.readouterr().err
+    assert not out.exists() and not io.pool_meta_path(out).exists()
+
+
+def test_ecf_rejects_truncated_pool(tmp_path, capsys):
+    pool_path = _write_gaussian_pool(tmp_path, n=1000)
+    lines = Path(pool_path).read_text().splitlines(keepends=True)
+    Path(pool_path).write_text("".join(lines[:501]))  # header and 500 rows; meta says 1000
+    out = tmp_path / "scan.csv"
+    assert main(["ecf", "--pool", pool_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"smoothfix: {io.pool_meta_path(pool_path)}: n must be ")
+    assert "got 1000" in err
+    assert not out.exists() and not io.manifest_path(out).exists()
 
 
 def _write_pool_with_row(tmp_path, row: str):
@@ -275,7 +284,8 @@ def test_ecf_rejects_pool_meta_that_is_not_an_object(tmp_path, capsys):
 @pytest.mark.parametrize("meta", [
     '{"generation": null}', '{"generation": "x"}', '{"generation": 2.7}',
     '{"generation": true}', '{"generation": -3}', '{"seed": 1.5}', '{"seed": "1"}',
-    '{"model_fingerprint": 5}', "{bad",
+    '{"model_fingerprint": 5}', '{"n": 199}', '{"n": 200.0}', '{"n": "200"}', '{"n": true}',
+    "{bad",
 ])
 def test_ecf_rejects_invalid_pool_meta(tmp_path, capsys, meta):
     pool_path = _write_gaussian_pool(tmp_path, n=200)

@@ -113,3 +113,31 @@ def test_unserialisable_pool_meta_writes_no_files(tmp_path):
     with pytest.raises(TypeError):
         io.write_pool_csv(tmp_path / "p.csv", pool)
     assert list(tmp_path.iterdir()) == []
+
+
+META_KEYS = {"generation", "seed", "model_fingerprint", "n", "summaries"}
+SUMMARY_KEYS = {"generation", "mean_re", "mean_im", "spread", "mean_se", "im_dispersion"}
+
+
+def test_pool_meta_schema(tmp_path):
+    result = run(CyclicPolya(8), n=50, K=3, seed=2)
+    path = io.write_pool_csv(tmp_path / "p.csv", result.pool, result.summaries)
+    meta = json.loads(io.pool_meta_path(path).read_text())
+    assert set(meta) == META_KEYS
+    assert [set(s) for s in meta["summaries"]] == [SUMMARY_KEYS] * 4
+
+
+def test_pool_meta_with_moment_order_keys_still_loads(tmp_path):
+    # metas written before the p-th moment summary was dropped carry "p" and "p_moment"
+    result = run(CyclicPolya(8), n=50, K=3, seed=2)
+    path = io.write_pool_csv(tmp_path / "p.csv", result.pool, result.summaries)
+    meta_path = io.pool_meta_path(path)
+    meta = json.loads(meta_path.read_text())
+    meta["p"] = 1.3142135623730951
+    for s in meta["summaries"]:
+        s["p_moment"] = 1.0
+    meta_path.write_text(json.dumps(meta))
+    pool = io.read_pool_csv(path)
+    assert pool.samples.tobytes() == result.pool.samples.tobytes()
+    assert (pool.n, pool.generation, pool.seed) == (50, 3, 2)
+    assert pool.model_fingerprint == result.pool.model_fingerprint

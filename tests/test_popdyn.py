@@ -1,6 +1,10 @@
 """Population-dynamics iteration: streams, preservation laws, summaries."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import pytest
 from smoothfix import BigginsBinary, CyclicPolya, Tabular, popdyn
 from smoothfix.popdyn import PoolOverflowError, init_pool, iterate, run
 from smoothfix.rng import BLOCK, DOMAIN_POPDYN, padded_width, philox
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_init_pool_validation():
@@ -21,12 +27,6 @@ def test_init_pool_validation():
 def test_run_requires_at_least_one_generation():
     with pytest.raises(ValueError, match="K >= 1"):
         run(CyclicPolya(8), n=100, K=0, seed=1)
-
-
-def test_run_rejects_non_finite_or_non_positive_p():
-    for p in (math.nan, math.inf, -1.0, 0.0):
-        with pytest.raises(ValueError, match="p must be finite and positive"):
-            run(CyclicPolya(8), n=100, K=1, seed=1, p=p)
 
 
 def test_run_deterministic():
@@ -86,19 +86,6 @@ def test_mean_preserved_within_accumulated_se():
     assert result.summaries[0].mean_se == 0.0
 
 
-def test_p_moment_defaults_and_stabilizes():
-    result = run(CyclicPolya(8), n=4000, K=30, seed=1)
-    assert result.p == pytest.approx(math.sqrt(2.0) - 0.1, abs=1e-6)
-    tail = [s.p_moment for s in result.summaries[-10:]]
-    for prev, cur in zip(tail, tail[1:]):
-        assert abs(cur - prev) <= 0.10 * abs(prev)
-
-
-def test_default_p_for_model_without_exponent():
-    result = run(CyclicPolya(4), n=200, K=3, seed=0)  # m(s) = 2: no root
-    assert result.p == 1.0
-
-
 def test_run_extends_reproducibly():
     # a shorter run is a prefix of a longer one, and iterating its pool on
     # the later generations' streams reproduces the longer run's pool
@@ -133,7 +120,19 @@ def test_summary_fields_consistent():
     assert s.mean == complex(z.mean())
     assert s.spread == pytest.approx(math.sqrt(z.real.var(ddof=1) + z.imag.var(ddof=1)))
     assert s.im_dispersion == pytest.approx(z.imag.std(ddof=1))
-    assert s.p_moment == pytest.approx(float(np.mean(np.abs(z) ** result.p)))
+    n = z.shape[0]  # the GenerationSummary docstring's second moment
+    assert np.mean(np.abs(z) ** 2) == pytest.approx(s.spread**2 * (n - 1) / n + abs(s.mean) ** 2)
+
+
+def test_run_does_not_import_analysis():
+    # popdyn sits below analysis: a run neither imports it nor locates alpha
+    code = ("import sys\n"
+            "from smoothfix import CyclicPolya, popdyn\n"
+            "popdyn.run(CyclicPolya(8), n=100, K=2, seed=1)\n"
+            "print('smoothfix.analysis' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout == "False\n"
 
 
 def test_mixed_offspring_counts():
