@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: analyze, sample, martingale, ecf, density, figures.  Every
-stochastic subcommand requires an explicit --seed, outputs are
+Subcommands: analyze, sample, martingale, ecf, density, figures.  The
+subcommands that draw (analyze, sample, martingale, figures) require an
+explicit --seed and the others reject it; outputs are
 byte-identical for identical argv, and each written artifact gets a
 manifest JSON (argv, seed, model fingerprint, package version) next to
 it.  Exit codes: 0 success, 1 for usage or configuration problems, 2 for
@@ -43,12 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise CliError("seed required: pass --seed for stochastic subcommands")
-    return int(args.seed)
-
-
 def _load_model(path):
     try:
         doc = json.loads(Path(path).read_text())
@@ -77,22 +72,20 @@ def _floats(text: str, flag: str) -> list[float]:
 
 
 def _cmd_analyze(args) -> int:
-    seed = _require_seed(args)
     model = _load_model(args.model)
-    report = check_assumptions(model, args.samples, seed)
+    report = check_assumptions(model, args.samples, args.seed)
     out = io.write_json(args.out, dataclasses.asdict(report))
-    io.write_manifest(out, args.argv, seed, fingerprint(model), outputs=[out])
+    io.write_manifest(out, args.argv, args.seed, fingerprint(model), outputs=[out])
     alpha = "none" if report.alpha is None else f"{report.alpha:.6f}"
     print(f"analyze: alpha={alpha} flags={report.flags} -> {out}")
     return 0
 
 
 def _cmd_sample(args) -> int:
-    seed = _require_seed(args)
     model = _load_model(args.model)
-    result = popdyn.run(model, n=args.pool_size, K=args.iterations, seed=seed)
+    result = popdyn.run(model, n=args.pool_size, K=args.iterations, seed=args.seed)
     out = io.write_pool_csv(args.out, result.pool, result.summaries)
-    io.write_manifest(out, args.argv, seed, fingerprint(model),
+    io.write_manifest(out, args.argv, args.seed, fingerprint(model),
                       outputs=[out, io.pool_meta_path(out)])
     s = result.summaries[-1]
     print(
@@ -103,7 +96,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_martingale(args) -> int:
-    seed = _require_seed(args)
     model = _load_model(args.model)
     if args.alpha is not None:
         alpha = float(args.alpha)
@@ -113,11 +105,11 @@ def _cmd_martingale(args) -> int:
             raise CliError("no characteristic exponent found in (0, 10]; pass --alpha")
         alpha = res.alpha
     means = estimate_martingale_mean(
-        model, alpha, args.depth, args.reps, philox(seed, DOMAIN_BRANCHING, 0),
+        model, alpha, args.depth, args.reps, philox(args.seed, DOMAIN_BRANCHING, 0),
         node_budget=args.node_budget,
     )
     out = io.write_martingale_csv(args.out, means)
-    io.write_manifest(out, args.argv, seed, fingerprint(model), outputs=[out],
+    io.write_manifest(out, args.argv, args.seed, fingerprint(model), outputs=[out],
                       extra={"alpha": alpha, "truncated": means.truncated,
                              "truncated_at": means.truncated_at})
     tail = f" (truncated at generation {means.truncated_at})" if means.truncated else ""
@@ -133,7 +125,7 @@ def _cmd_ecf(args) -> int:
     if args.order >= 1 and distinct < 3:
         raise CliError(f"--order {args.order} fits a decay slope and needs at least 3 radii, "
                        f"got {distinct} distinct of {len(radii)}")
-    grid = polar_grid(pool, radii, args.angles, order=args.order, threads=args.threads)
+    grid = polar_grid(pool, radii, args.angles, order=args.order)
     extra = {
         "order": args.order,
         "n_angles": args.angles,
@@ -193,24 +185,23 @@ def _figure_models():
 
 
 def _cmd_figures(args) -> int:
-    seed = _require_seed(args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     n, k = (10_000, 50) if args.desk else (1_000_000, 100)
     written = []
     for name, cfg in _figure_models():
         model = model_from_config({"model": cfg})
-        result = popdyn.run(model, n=n, K=k, seed=seed)
+        result = popdyn.run(model, n=n, K=k, seed=args.seed)
         den = kde2d(result.pool, cells=args.grid)  # before any write, so a failure leaves none
         pool_path = io.write_pool_csv(outdir / f"{name}_pool.csv", result.pool, result.summaries)
         den_path = io.write_density_csv(outdir / f"{name}_density.csv", den)
-        io.write_manifest(outdir / f"{name}.csv", args.argv, seed, fingerprint(model),
+        io.write_manifest(outdir / f"{name}.csv", args.argv, args.seed, fingerprint(model),
                           outputs=[pool_path, den_path],
                           extra={"config": cfg, "n": n, "iterations": k,
                                  "integral": grid_integral(den)})
         written.extend([pool_path, den_path])
         print(f"figures: {name} n={n} K={k} -> {pool_path.name}, {den_path.name}")
-    io.write_manifest(outdir / "figures.json", args.argv, seed, "",
+    io.write_manifest(outdir / "figures.json", args.argv, args.seed, "",
                       outputs=written, extra={"desk": bool(args.desk)})
     return 0
 
@@ -219,20 +210,21 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="smoothfix", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"smoothfix {__version__}")
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for all randomness (required when the command draws)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker thread bound; results never depend on it")
+                        help="accepted for compatibility and ignored; Fourier scans use "
+                             "every core of the CPU affinity mask")
+    seeded = _Parser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, required=True, help="seed for all randomness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[seeded],
                        help="check model assumptions and locate the exponent")
     p.add_argument("--model", required=True, help="model config JSON path")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--out", default="report.json")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("sample", parents=[common],
+    p = sub.add_parser("sample", parents=[seeded],
                        help="population-dynamics sampling of the fixed point")
     p.add_argument("--model", required=True)
     p.add_argument("--pool-size", type=int, default=10_000)
@@ -240,7 +232,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="pool.csv")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("martingale", parents=[common],
+    p = sub.add_parser("martingale", parents=[seeded],
                        help="branching-martingale mean trajectories")
     p.add_argument("--model", required=True)
     p.add_argument("--alpha", type=float, default=None)
@@ -268,7 +260,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="density.csv")
     p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("figures", parents=[common],
+    p = sub.add_parser("figures", parents=[seeded],
                        help="sample + density for the six reference models")
     p.add_argument("--outdir", default="figures")
     p.add_argument("--grid", type=int, default=256)

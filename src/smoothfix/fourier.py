@@ -12,17 +12,20 @@ grids go through one direct kernel that tiles frequencies x samples and
 sums prefac * e^{-i<xi,z>} per frequency.  Memory is bounded whatever the
 input size: each worker thread holds two 1 MiB phase buffers and, only
 with a prefactor (orders 1 and 2), a 2 MiB complex one, plus
-O(frequencies + samples) for inputs and results.  With W workers,
-worker w takes frequency tiles w, w + W, w + 2W, ..., so the split needs
-no shared state, and each frequency is summed in the same order whatever
-the tiling, so results are bit-identical for every thread count.
+O(frequencies + samples) for inputs and results.  There is one worker
+per core in the process's CPU affinity mask (os.cpu_count() where the
+platform has no mask), never more than there are frequency tiles; restrict
+the mask (taskset) to use fewer.  With W workers, worker w takes frequency
+tiles w, w + W, w + 2W, ..., so the split needs no shared state, and each
+frequency is summed in the same order whatever the tiling, so results are
+bit-identical for every worker count.
 
 A polar grid with an even angle count A is symmetric: polar_grid builds
 xi_k = r e^{i theta_k} for the first A/2 angles and takes angle k + A/2
 at exactly -xi_k.  The phase at -xi_k is the exact negation of the phase
 at xi_k, cos is even and sin odd, so the kernel takes cos and sin once
 per pair and returns both sums, bit-identical to the direct kernel at
--xi_k at every order and thread count, for half the trigonometry.  -xi_k
+-xi_k at every order and worker count, for half the trigonometry.  -xi_k
 differs from r e^{i theta_{k + A/2}} by about an ulp, so scan values
 differ from a direct evaluation at r e^{i theta} by at most 1e-12
 relative (at most 2.0e-13 measured: order 2 on the biggins tilt-23 pool of
@@ -152,21 +155,15 @@ def _prefactor(z: np.ndarray, order: int, which: str = "d_xibar") -> np.ndarray 
     raise ValueError(f"order must be 0, 1, or 2, got {order}")
 
 
-def _workers(threads: int | None) -> int:
-    """Worker threads for `threads` (None: all), capped at the cores this process may use."""
+def _workers() -> int:
+    """Worker threads: the cores in this process's affinity mask."""
     if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    if threads is None:
-        return cores
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    return min(int(threads), cores)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
-                  threads: int | None, mirror: bool = False) -> np.ndarray:
+                  mirror: bool = False) -> np.ndarray:
     """Per-frequency sums over z of prefac * e^{-i<xi,z>} (prefac None: 1), complex128.
 
     Without a prefactor the cosines are summed into the real parts and the
@@ -175,7 +172,7 @@ def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
     frequencies walks the samples in _CHUNK-wide pieces and reduces each
     piece per frequency, so a frequency's summation order, and with it
     every output bit, does not depend on the tiling or on the number of
-    threads.  With W workers, worker w takes tiles w, w + W, ..., and the
+    workers.  With W workers, worker w takes tiles w, w + W, ..., and the
     workers write disjoint entries of the result.
 
     With mirror, the result has 2 p entries: the sums at xis, then the sums
@@ -191,7 +188,7 @@ def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
     # each half of the result and how its sines enter: subtracted at xi,
     # added at -xi
     halves = ((acc[:p], np.subtract), (acc[p:], np.add))[:1 + mirror]
-    workers = min(_workers(threads), -(-p // rows))
+    workers = min(_workers(), -(-p // rows))
 
     def work(w: int) -> None:
         size = rows * min(n, _CHUNK)
@@ -284,7 +281,7 @@ def _gridded_sums(z: np.ndarray, xis: np.ndarray) -> np.ndarray:
         return np.full(p, complex(n))
     layout = _grid(z, s)
     if layout is None:
-        return _fourier_sums(z, xis, None, None)
+        return _fourier_sums(z, xis, None)
     corner, nx, ny, tau, h = layout
     width = max(nx, ny)
     # Spread.  Sorted by real part, a block of samples has x weights above
@@ -331,14 +328,13 @@ def _gridded_sums(z: np.ndarray, xis: np.ndarray) -> np.ndarray:
 
 
 def _statistic(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
-               threads: int | None = None,
                mirror: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Mean and stderr of prefac * e^{-i<xi,z>} over z, per frequency (float64).
 
     With mirror, at xis and then at -xis (see _fourier_sums).
     """
     n = z.shape[0]
-    means = _fourier_sums(z, xis, prefac, threads, mirror) / n
+    means = _fourier_sums(z, xis, prefac, mirror) / n
     if n == 1:
         return means, np.zeros(means.shape[0])
     power = n if prefac is None else float(np.vdot(prefac, prefac).real)
@@ -388,15 +384,13 @@ def fixed_point_residual(pool, model, xi: complex, M: int = 1000, rng=None) -> f
     return float(abs(lhs - complex(products.mean())))
 
 
-def polar_grid(pool, radii, n_angles: int = 16, order: int = 0,
-               threads: int | None = None) -> PolarGrid:
+def polar_grid(pool, radii, n_angles: int = 16, order: int = 0) -> PolarGrid:
     """Evaluate phi_hat (order 0) or the d/d conj(xi) statistic of order 1 or 2 on a polar grid.
 
-    `threads` bounds the worker threads, which never outnumber the cores
-    this process may run on (None: one per core); the result does not
-    depend on it.  With an even n_angles, angle k + n_angles / 2 is
-    evaluated at exactly -xi_k, where xi_k = r e^{i theta_k}, and shares
-    the trigonometry of angle k.
+    The frequency tiles run on one worker thread per core of the process's
+    affinity mask; the result does not depend on the worker count.  With
+    an even n_angles, angle k + n_angles / 2 is evaluated at exactly -xi_k,
+    where xi_k = r e^{i theta_k}, and shares the trigonometry of angle k.
     """
     r = np.asarray(radii, dtype=np.float64)
     if r.ndim != 1 or r.shape[0] < 1:
@@ -410,7 +404,7 @@ def polar_grid(pool, radii, n_angles: int = 16, order: int = 0,
     mirror = n_angles % 2 == 0
     half = n_angles // 2 if mirror else n_angles
     xis = (r[:, None] * np.exp(1j * angles[:half])[None, :]).reshape(-1)
-    values, stderrs = _statistic(z, xis, _prefactor(z, order), threads, mirror)
+    values, stderrs = _statistic(z, xis, _prefactor(z, order), mirror)
     # with mirror: (xi or -xi, radius, angle) -> (radius, xi then -xi, angle)
     shape = (1 + mirror, r.shape[0], half)
     values = values.reshape(shape).swapaxes(0, 1).reshape(r.shape[0], n_angles)

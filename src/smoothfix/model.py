@@ -279,6 +279,8 @@ def model_from_config(doc: dict):
     """Build a model from a configuration document ({"model": {...}} or the inner dict)."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+    if "model" in doc:
+        _reject_extra_fields(doc, ("model",), "config")
     inner = doc.get("model", doc)
     if not isinstance(inner, dict) or "type" not in inner:
         raise ConfigError("config needs a 'model' object with a 'type' field")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothfix import CyclicPolya, io
+from smoothfix import CyclicPolya, fourier, io
 from smoothfix.analysis import check_assumptions
 from smoothfix.cli import main
 from smoothfix.popdyn import SamplePool
@@ -45,7 +45,28 @@ def test_version_exits_zero(capsys):
 
 def test_missing_seed_is_usage_error(capsys, polya_cfg):
     assert main(["sample", "--model", polya_cfg]) == 1
-    assert "seed required" in capsys.readouterr().err
+    assert "the following arguments are required: --seed" in capsys.readouterr().err
+
+
+def test_seed_rejected_where_nothing_is_drawn(tmp_path, capsys):
+    # ecf and density draw nothing; a seed there is an unknown argument
+    pool_path = _write_gaussian_pool(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    for command in ("ecf", "density"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--pool", pool_path, "--seed", "3", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_threads_below_one_is_usage_error(tmp_path, polya_cfg, capsys):
+    pool_path = _write_gaussian_pool(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    for argv in (["sample", "--model", polya_cfg, "--seed", "1"],
+                 ["ecf", "--pool", pool_path]):
+        assert main(argv + ["--threads", "0", "--out", str(tmp_path / "out.csv")]) == 1
+        assert "--threads must be at least 1" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_unknown_flag_is_usage_error(capsys, polya_cfg):
@@ -121,14 +142,18 @@ def test_martingale_csv_header(tmp_path, biggins_cfg, capsys):
     assert manifest["alpha"] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_ecf_scan_csv_and_thread_invariance(tmp_path, capsys):
+def test_ecf_scan_csv_and_thread_invariance(tmp_path, monkeypatch, capsys):
+    # 3 radii x 16 angles are 3 frequency tiles: 1 worker, then 3 threads,
+    # which --threads 1 does not change
     pool_path = _write_gaussian_pool(tmp_path)
     for order in ("0", "1"):
         one, four = tmp_path / f"scan{order}_1.csv", tmp_path / f"scan{order}_4.csv"
         base = ["ecf", "--pool", pool_path, "--radii", "0.5,1,2", "--angles", "16",
                 "--order", order]
-        assert main(base + ["--threads", "1", "--out", str(one)]) == 0
-        assert main(base + ["--threads", "4", "--out", str(four)]) == 0
+        monkeypatch.setattr(fourier, "_workers", lambda: 1)
+        assert main(base + ["--out", str(one)]) == 0
+        monkeypatch.setattr(fourier, "_workers", lambda: 4)
+        assert main(base + ["--threads", "1", "--out", str(four)]) == 0
         assert one.read_bytes() == four.read_bytes()
         assert one.read_text().splitlines()[0] == "R,theta,re,im,abs,stderr"
         manifest = json.loads(io.manifest_path(one).read_text())
@@ -312,7 +337,7 @@ def test_ecf_header_only_pool_names_the_problem(tmp_path, capsys):
 
 
 def test_threads_flag_does_not_change_outputs(tmp_path, polya_cfg, capsys):
-    # README: results never depend on --threads; manifests differ only in argv
+    # README: --threads is accepted and ignored; manifests differ only in argv
     pool_path = _write_gaussian_pool(tmp_path)
     d = tmp_path
     runs = [

@@ -90,7 +90,7 @@ def test_polar_grid_matches_pointwise_ecf(gaussian_samples):
 
 
 def _direct_grid(z, radii, n_angles, order):
-    """polar_grid's frequencies, one per angle, through the direct kernel on one thread.
+    """polar_grid's frequencies, one per angle, through the direct kernel.
 
     With an even n_angles the second half of each radius is the exact
     negation of the first, as polar_grid defines it.
@@ -101,18 +101,20 @@ def _direct_grid(z, radii, n_angles, order):
     xis = radii[:, None] * np.exp(1j * angles[:half])[None, :]
     if half < n_angles:
         xis = np.concatenate((xis, -xis), axis=1)
-    values, stderrs = fourier._statistic(z, xis.reshape(-1), fourier._prefactor(z, order), 1)
+    values, stderrs = fourier._statistic(z, xis.reshape(-1), fourier._prefactor(z, order))
     shape = (radii.shape[0], n_angles)
     return values.reshape(shape), stderrs.reshape(shape)
 
 
 def test_fourier_kernel_thread_invariance(polya_pool, monkeypatch):
     # two sample chunks and nine (mirrored polar grid), seven (odd polar
-    # grid) or eighty (residual-shaped) frequency tiles; more threads than
-    # cores (the core cap is lifted here) and frequent thread switches, so
-    # a tile taken twice or lost would show.  Every thread count matches
-    # the direct kernel on one thread bit for bit, signed zeros included.
-    monkeypatch.setattr(fourier, "_workers", lambda threads: threads)
+    # grid) or eighty (residual-shaped) frequency tiles; more workers than
+    # cores (_workers is stubbed here) and frequent thread switches, so a
+    # tile taken twice or lost would show.  Every worker count matches the
+    # direct kernel on one worker bit for bit, signed zeros included.
+    def use_workers(count):
+        monkeypatch.setattr(fourier, "_workers", lambda: count)
+
     rng = philox(15, 0)
     z = rng.standard_normal((1 << 14) + 300) + 1j * rng.standard_normal((1 << 14) + 300)
     # the inner frequencies of fixed_point_residual, as its fallback sums them
@@ -124,15 +126,18 @@ def test_fourier_kernel_thread_invariance(polya_pool, monkeypatch):
     try:
         for order in (0, 1, 2):
             for n_angles in (48, 17):
+                use_workers(1)
                 values, stderrs = _direct_grid(z, radii, n_angles, order)
-                for threads in (1, 2, 7):
-                    grid = polar_grid(z, radii, n_angles=n_angles, order=order,
-                                      threads=threads)
+                for count in (1, 2, 7):
+                    use_workers(count)
+                    grid = polar_grid(z, radii, n_angles=n_angles, order=order)
                     assert grid.values.tobytes() == values.tobytes()
                     assert grid.stderrs.tobytes() == stderrs.tobytes()
-        one = _fourier_sums(pool, freqs, None, 1)
-        for threads in (2, 7):
-            many = _fourier_sums(pool, freqs, None, threads)
+        use_workers(1)
+        one = _fourier_sums(pool, freqs, None)
+        for count in (2, 7):
+            use_workers(count)
+            many = _fourier_sums(pool, freqs, None)
             assert one.tobytes() == many.tobytes()
     finally:
         sys.setswitchinterval(interval)
@@ -148,14 +153,20 @@ def test_mirrored_grid_matches_direct_frequencies(name, polya_pool, tilt23_pool)
     for order in (0, 1, 2):
         grid = polar_grid(z, radii, n_angles=16, order=order)
         xis = (radii[:, None] * np.exp(1j * grid.angles)[None, :]).reshape(-1)
-        direct = fourier._statistic(z, xis, fourier._prefactor(z, order), 1)[0]
+        direct = fourier._statistic(z, xis, fourier._prefactor(z, order))[0]
         gap = np.abs(grid.values.reshape(-1) - direct)
         assert (gap <= 1e-12 * np.maximum(1.0, np.abs(direct))).all()
 
 
-def test_worker_count_capped_at_usable_cores(monkeypatch):
-    # a stub pool records the requested worker count and runs the work
-    # inline, so no thread starts whatever the count
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a call that fits one worker started a thread pool")
+
+
+def _requested_workers(monkeypatch, z, radii):
+    """polar_grid on 64 angles with a ThreadPoolExecutor stand-in that
+    records the requested worker count and runs the work inline, so no
+    thread starts whatever the count."""
     requested = []
 
     class InlinePool:
@@ -171,6 +182,11 @@ def test_worker_count_capped_at_usable_cores(monkeypatch):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
+    monkeypatch.setattr(fourier, "ThreadPoolExecutor", InlinePool)
+    return polar_grid(z, radii, n_angles=64), requested
+
+
+def test_worker_count_capped_at_usable_cores(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
@@ -178,26 +194,43 @@ def test_worker_count_capped_at_usable_cores(monkeypatch):
     z = philox(17, 0).standard_normal(100) + 0j
     # 64 angles are 32 mirrored pairs: 4 (cores + 1) tiles of 8 frequencies
     radii = np.linspace(1.0, 2.0, cores + 1)
-    expected = polar_grid(z, radii, n_angles=64, threads=1)
-    monkeypatch.setattr(fourier, "ThreadPoolExecutor", InlinePool)
-    grid = polar_grid(z, radii, n_angles=64, threads=10**6)
+    with monkeypatch.context() as m:
+        m.setattr(fourier, "_workers", lambda: 1)
+        expected = polar_grid(z, radii, n_angles=64)
+    grid, requested = _requested_workers(monkeypatch, z, radii)
     assert requested == ([cores] if cores > 1 else [])
     assert grid.values.tobytes() == expected.values.tobytes()
+
+
+def test_worker_count_follows_affinity_mask(monkeypatch):
+    # the workers are the cores of the affinity mask, or os.cpu_count()
+    # where the platform has no mask; 64 angles on 2 radii are 8 tiles
+    z = philox(18, 0).standard_normal(100) + 0j
+    radii = [1.0, 2.0]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with monkeypatch.context() as m:
+        m.setattr(fourier, "ThreadPoolExecutor", _NoPool)
+        expected = polar_grid(z, radii, n_angles=64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    grid, requested = _requested_workers(monkeypatch, z, radii)
+    assert requested == [3]
+    assert grid.values.tobytes() == expected.values.tobytes()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _requested_workers(monkeypatch, z, radii)[1] == [5]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _requested_workers(monkeypatch, z, radii)[1] == []
 
 
 def test_single_tile_calls_start_no_thread(monkeypatch, polya_pool):
     # one frequency tile runs inline: a pool that cannot be built must not
     # be asked for
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a single-tile call started a thread pool")
-
-    monkeypatch.setattr(fourier, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(fourier, "ThreadPoolExecutor", _NoPool)
     z = polya_pool.samples
     ecf(z, 1.0 - 0.5j)
     for which in ("d_xi", "d_xibar"):
         wirtinger_derivative(z, 1.0 - 0.5j, which)
-    polar_grid(z, [1.0], n_angles=8, threads=8)
+    polar_grid(z, [1.0], n_angles=8)
     fixed_point_residual(z, CyclicPolya(8), 1.0 + 0.5j, M=200, rng=1)  # the grid fits
 
 
@@ -219,14 +252,15 @@ def test_stderrs_match_two_pass_variance(name, polya_pool):
         np.testing.assert_allclose(grid.stderrs.reshape(-1), ref, rtol=1e-12, atol=0.0)
 
 
-def test_polar_grid_memory_is_bounded():
+def test_polar_grid_memory_is_bounded(monkeypatch):
     # one frequency tile per worker is live at a time; an untiled kernel
     # needs about 134 MB for each complex (512 x 2^14) temporary
+    monkeypatch.setattr(fourier, "_workers", lambda: 2)
     rng = philox(16, 0)
     z = rng.standard_normal(1 << 14) + 1j * rng.standard_normal(1 << 14)
     tracemalloc.start()
     try:
-        polar_grid(z, [3.0], n_angles=512, order=1, threads=2)
+        polar_grid(z, [3.0], n_angles=512, order=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -339,7 +373,7 @@ def test_gridded_sums_match_direct_kernel(name, polya_pool, tilt23_pool):
     # residual-shaped frequencies at three radii in one call, and xi = 0
     xis = np.concatenate(([0.0], values * 0.5, values * (1.0 + 1.0j), values * 5.0j))
     gridded = _gridded_sums(z, xis)
-    assert np.abs(gridded - _fourier_sums(z, xis, None, 1)).max() / n <= 1e-12
+    assert np.abs(gridded - _fourier_sums(z, xis, None)).max() / n <= 1e-12
     assert abs(gridded[0] - n) / n <= 1e-12
     zeros = _gridded_sums(z, np.zeros(3, np.complex128))
     assert zeros.tobytes() == np.full(3, complex(n)).tobytes()

@@ -184,6 +184,8 @@ def test_config_errors_name_the_problem():
         model_from_config({"model": {"type": "biggins", "lambda": {"real": 1}}})
     with pytest.raises(ConfigError):
         model_from_config([1, 2, 3])
+    with pytest.raises(ConfigError, match="config: unexpected field 'typo'"):
+        model_from_config({"model": {"type": "polya", "b": 8}, "typo": 1})
     with pytest.raises(ConfigError, match="unexpected field 'lambda'"):
         model_from_config({"type": "polya", "b": 8, "lambda": 0.5})
     with pytest.raises(ConfigError, match=r"model.atoms\[0\]: unexpected field 'extra'"):

@@ -1,4 +1,4 @@
-"""The README's library example runs and its shell commands parse against the current CLI."""
+"""The README's library example and its shell commands run against the current package."""
 
 import contextlib
 import io
@@ -6,7 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
-from smoothfix.cli import _build_parser
+from smoothfix.cli import main
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -20,11 +20,15 @@ def test_readme_python_example_runs():
     assert "1.414" in out.getvalue()
 
 
-def test_readme_cli_commands_parse():
+def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
+    # every smoothfix line of the sh blocks, in order, in a directory that
+    # holds the README's polya config as polya8.json
+    config = re.search(r'^\{"model": \{"type": "polya".*\}$', README, flags=re.M).group(0)
+    (tmp_path / "polya8.json").write_text(config)
     blocks = re.findall(r"^```sh\n(.*?)^```", README, flags=re.M | re.S)
     lines = "".join(blocks).replace("\\\n", " ").splitlines()
     commands = [shlex.split(line) for line in lines if line.startswith("smoothfix ")]
     assert len(commands) >= 7
+    monkeypatch.chdir(tmp_path)
     for argv in commands:
-        args = _build_parser().parse_args(argv[1:])  # parsed, not run
-        assert args.command == argv[1]
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
