@@ -4,11 +4,25 @@ Nodes of the branching tree carry products of weights along their ancestry
 line; generation n has totals W_n = sum_v |L_v|^alpha (the nonnegative
 martingale when m(alpha) = 1) and Z_n = sum_v L_v (the complex-additive
 martingale when E[sum_j T_j] = 1).  One generator grows the trees of all
-replicas together.  Trees grow geometrically, so it stops early, and the
-estimator sets a truncation flag, once the next generation would exceed
-the node budget (at least 1).  The budget also bounds memory: a generation
-that may cross it is drawn in blocks of parents and dropped at the first
-block that does.
+replicas together and reduces each generation to per-replica totals.
+
+Trees grow geometrically, so the generator stops early, and the estimator
+sets a truncation flag, once a generation would exceed the node budget (at
+least 1, and at least the number of replicas).  The budget also bounds
+memory, at about 16 bytes per node of two consecutive generations: a
+generation is drawn, multiplied and reduced in blocks of parents, and only
+the parent line and the child line are ever held.  A generation that may
+cross the budget is counted before it is stored: its blocks are drawn once
+to total their children, and drawn again from the same generator state
+only if the total stays within the budget.
+
+The bits follow one draw of a whole generation.  Blocks of rows consume
+rng exactly as one draw of all rows does; a generation of at least
+_ELIDE_ROWS rows is drawn in blocks of at least _ELIDE_ROWS rows, so that
+polya's zeta * np.exp(...) keeps the rounding numpy's temporary elision
+gives it (popdyn docstring), except that a generation that may cross the
+budget is drawn in plain _BLOCK_ROWS blocks.  Each np.bincount runs over
+whole replicas only, summing every replica's nodes in generation order.
 """
 
 from __future__ import annotations
@@ -18,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BLOCK_ROWS = 1 << 16  # parents per draw when a generation may cross the node budget
+_BLOCK_ROWS = 1 << 16  # parents per draw
+_ELIDE_ROWS = 1 << 14  # rows from which a complex temporary is elided (256 KiB)
 
 
 @dataclass(frozen=True)
@@ -36,37 +51,98 @@ class MartingaleMeans:
     truncated_at: int | None
 
 
-def _draw_children(model, rng, rows, node_budget):
-    """model.draw_batch(rng, rows), or None if it has more than node_budget children.
+def _draw_bounds(rows, may_cross):
+    """Row bounds (start, stop) of the draws of one generation of `rows` parents."""
+    starts = list(range(0, rows, _BLOCK_ROWS))
+    if not may_cross and len(starts) > 1 and rows - starts[-1] < _ELIDE_ROWS:
+        starts.pop()  # the short tail joins the block before it
+    return list(zip(starts, starts[1:] + [rows]))
 
-    Blocks of rows consume rng exactly as one draw of all rows does.
-    """
-    if rows * model.max_children <= node_budget:
-        return model.draw_batch(rng, rows)
-    blocks, total = [], 0
-    for start in range(0, rows, _BLOCK_ROWS):
-        values, counts = model.draw_batch(rng, min(_BLOCK_ROWS, rows - start))
-        total += int(counts.sum())
+
+def _crosses(model, rng, rows, node_budget):
+    """Draw the children counts of `rows` parents until their total exceeds node_budget."""
+    total = 0
+    for start, stop in _draw_bounds(rows, True):
+        total += int(model.draw_batch(rng, stop - start)[1].sum())
         if total > node_budget:
+            return True
+    return False
+
+
+def _grow(model, alpha, rng, line, per_rep, may_cross, store, node_budget):
+    """Children of `line` and their per-replica totals (w, zr, zi, count).
+
+    line holds the nodes of every replica in replica order, per_rep[r] of
+    replica r.  Returns (children or None when not stored, totals), or None
+    once the children exceed node_budget.
+    """
+    reps = per_rep.shape[0]
+    ends = np.cumsum(per_rep)
+    starts = ends - per_rep
+    w, zr, zi = np.empty(reps), np.empty(reps), np.empty(reps)
+    count = np.empty(reps, dtype=np.int64)
+    children = None
+    if store:
+        children = np.empty(min(line.shape[0] * model.max_children, node_budget),
+                            dtype=np.complex128)
+    total = done = 0  # children drawn, replicas reduced
+    carry_kids = np.empty(0, dtype=np.complex128)
+    carry_owner = np.empty(0, dtype=np.int64)
+    for s, e in _draw_bounds(line.shape[0], may_cross):
+        values, counts = model.draw_batch(rng, e - s)
+        size = int(counts.sum())
+        if total + size > node_budget:
             return None
-        blocks.append((values, counts))
-    values, counts = zip(*blocks)
-    return np.concatenate(values), np.concatenate(counts)
+        r0 = int(np.searchsorted(ends, s, side="right"))
+        r1 = int(np.searchsorted(starts, e, side="left"))
+        clipped = np.minimum(ends[r0:r1], e) - np.maximum(starts[r0:r1], s)
+        kids = np.repeat(line[s:e], counts)
+        np.multiply(kids, values, out=kids)
+        owner = np.repeat(np.repeat(np.arange(r0, r1), clipped), counts)
+        if store:
+            children[total:total + size] = kids
+        total += size
+        if carry_kids.size:  # a replica that straddles the block boundary
+            kids = np.concatenate([carry_kids, kids])
+            owner = np.concatenate([carry_owner, owner])
+        complete = int(np.searchsorted(ends, e, side="right"))  # replicas ended by row e
+        k = int(np.searchsorted(owner, complete))
+        bins, m = owner[:k] - done, complete - done
+        w[done:complete] = np.bincount(bins, weights=np.abs(kids[:k]) ** alpha, minlength=m)
+        zr[done:complete] = np.bincount(bins, weights=kids[:k].real, minlength=m)
+        zi[done:complete] = np.bincount(bins, weights=kids[:k].imag, minlength=m)
+        count[done:complete] = np.bincount(bins, minlength=m)
+        carry_kids, carry_owner, done = kids[k:], owner[k:], complete
+    if store:
+        children = children[:total]
+    return children, (w, zr, zi, count)
 
 
-def _batched_generations(model, depth, reps, rng, node_budget):
-    """Yield (n, line, owner) for generations 1..depth across reps trajectories."""
+def _replica_totals(model, alpha, depth, reps, rng, node_budget):
+    """Yield (n, totals) for generations n = 1..depth across reps trajectories.
+
+    totals is (w, zr, zi, count): per-replica W_n, Re Z_n, Im Z_n and node
+    counts.  It is None at the first generation that exceeds node_budget,
+    which ends the trees.
+    """
     line = np.ones(reps, dtype=np.complex128)
-    owner = np.arange(reps)
+    per_rep = np.ones(reps, dtype=np.int64)
     for n in range(1, depth + 1):
-        drawn = _draw_children(model, rng, line.shape[0], node_budget)
-        if drawn is None:
-            yield n, None, None
+        may_cross = line.shape[0] * model.max_children > node_budget
+        store = n < depth
+        if may_cross and store:
+            state = rng.bit_generator.state
+            if _crosses(model, rng, line.shape[0], node_budget):
+                yield n, None
+                return
+            rng.bit_generator.state = state
+        grown = _grow(model, alpha, rng, line, per_rep, may_cross, store, node_budget)
+        if grown is None:
+            yield n, None
             return
-        values, counts = drawn
-        line = np.repeat(line, counts) * values
-        owner = np.repeat(owner, counts)
-        yield n, line, owner
+        line, totals = grown
+        per_rep = totals[3]
+        yield n, totals
 
 
 def estimate_martingale_mean(model, alpha: float, depth: int, reps: int,
@@ -81,19 +157,19 @@ def estimate_martingale_mean(model, alpha: float, depth: int, reps: int,
         raise ValueError(f"at least 30 replicas required for the standard errors, got {reps}")
     if node_budget < 1:
         raise ValueError(f"node budget must be at least 1, got {node_budget}")
+    if reps > node_budget:
+        raise ValueError(f"{reps} replicas exceed the node budget of {node_budget}: "
+                         f"generation 0 alone has one node per replica")
     depths = [0]
     mean_w, se_w = [1.0], [0.0]
     mean_z, se_z = [1.0 + 0j], [0.0]
     nodes = [1.0]
     truncated_at = None
-    for n, line, owner in _batched_generations(model, depth, reps, rng, node_budget):
-        if line is None:
+    for n, totals in _replica_totals(model, alpha, depth, reps, rng, node_budget):
+        if totals is None:
             truncated_at = n
             break
-        w = np.bincount(owner, weights=np.abs(line) ** alpha, minlength=reps)
-        zr = np.bincount(owner, weights=line.real, minlength=reps)
-        zi = np.bincount(owner, weights=line.imag, minlength=reps)
-        count = np.bincount(owner, minlength=reps)
+        w, zr, zi, count = totals
         depths.append(n)
         mean_w.append(float(w.mean()))
         se_w.append(float(w.std(ddof=1) / math.sqrt(reps)))
@@ -111,4 +187,3 @@ def estimate_martingale_mean(model, alpha: float, depth: int, reps: int,
         truncated=truncated_at is not None,
         truncated_at=truncated_at,
     )
-

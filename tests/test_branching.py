@@ -9,22 +9,68 @@ import pytest
 
 from smoothfix import BigginsBinary, CyclicPolya, Tabular
 from smoothfix.analysis import find_alpha
-from smoothfix.branching import _batched_generations, estimate_martingale_mean
+from smoothfix.branching import _BLOCK_ROWS, _replica_totals, estimate_martingale_mean
 from smoothfix.popdyn import run
 from smoothfix.rng import philox
 
 ALPHA8 = math.sqrt(2.0)
+DESK_TABULAR = Tabular([(0.5, (0.9,)), (0.5, (0.25, 0.25, 0.25, 0.25, 0.1))])  # E[N] = 3
+WIDE_TABULAR = Tabular([(0.5, (0.5,)), (0.5, (0.05,) * 20)])  # E[N] = 10.5
 
 
 def _final_totals(model, alpha, depth, reps, rng):
-    """Per-replica (W_depth, Z_depth) from the batched generator."""
-    *_, (n, line, owner) = _batched_generations(model, depth, reps, rng, 10_000_000)
-    assert n == depth and line is not None
-    w = np.bincount(owner, weights=np.abs(line) ** alpha, minlength=reps)
-    z = np.bincount(owner, weights=line.real, minlength=reps) + 1j * np.bincount(
-        owner, weights=line.imag, minlength=reps
-    )
-    return w, z
+    """Per-replica (W_depth, Z_depth) from the branching generator."""
+    *_, (n, totals) = _replica_totals(model, alpha, depth, reps, rng, 10_000_000)
+    assert n == depth and totals is not None
+    w, zr, zi, _ = totals
+    return w, zr + 1j * zi
+
+
+# -- reference: whole-generation lines with an owner array per node ---------
+
+def _reference_children(model, rng, rows, node_budget):
+    if rows * model.max_children <= node_budget:
+        return model.draw_batch(rng, rows)
+    blocks, total = [], 0
+    for start in range(0, rows, _BLOCK_ROWS):
+        values, counts = model.draw_batch(rng, min(_BLOCK_ROWS, rows - start))
+        total += int(counts.sum())
+        if total > node_budget:
+            return None
+        blocks.append((values, counts))
+    values, counts = zip(*blocks)
+    return np.concatenate(values), np.concatenate(counts)
+
+
+def _reference_means(model, alpha, depth, reps, rng, node_budget):
+    """estimate_martingale_mean over whole generations, each reduced with one
+    np.bincount per total over a per-node owner array."""
+    line = np.ones(reps, dtype=np.complex128)
+    owner = np.arange(reps)
+    depths, mean_w, se_w, mean_z, se_z, nodes = [0], [1.0], [0.0], [1.0 + 0j], [0.0], [1.0]
+    truncated_at = None
+    for n in range(1, depth + 1):
+        drawn = _reference_children(model, rng, line.shape[0], node_budget)
+        if drawn is None:
+            truncated_at = n
+            break
+        values, counts = drawn
+        line = np.repeat(line, counts) * values
+        owner = np.repeat(owner, counts)
+        w = np.bincount(owner, weights=np.abs(line) ** alpha, minlength=reps)
+        zr = np.bincount(owner, weights=line.real, minlength=reps)
+        zi = np.bincount(owner, weights=line.imag, minlength=reps)
+        count = np.bincount(owner, minlength=reps)
+        depths.append(n)
+        mean_w.append(float(w.mean()))
+        se_w.append(float(w.std(ddof=1) / math.sqrt(reps)))
+        mean_z.append(complex(zr.mean() + 1j * zi.mean()))
+        se_z.append(float(math.hypot(zr.std(ddof=1), zi.std(ddof=1)) / math.sqrt(reps)))
+        nodes.append(float(count.mean()))
+    arrays = {"depths": np.array(depths), "mean_w": np.array(mean_w), "se_w": np.array(se_w),
+              "mean_z": np.array(mean_z, dtype=np.complex128), "se_z": np.array(se_z),
+              "node_count_mean": np.array(nodes)}
+    return arrays, truncated_at
 
 
 def test_estimate_requires_enough_reps():
@@ -72,10 +118,18 @@ def test_biggins_means_hold_at_four_se():
 
 def test_truncation_at_node_cap():
     """A single trajectory stops at the first generation over the node cap."""
-    gens = list(_batched_generations(CyclicPolya(8), 30, 1, philox(1, 0), 100))
-    assert [n for n, *_ in gens] == [1, 2, 3, 4, 5, 6, 7]
-    assert [len(line) for _, line, _ in gens[:-1]] == [2, 4, 8, 16, 32, 64]
+    gens = list(_replica_totals(CyclicPolya(8), ALPHA8, 30, 1, philox(1, 0), 100))
+    assert [n for n, _ in gens] == [1, 2, 3, 4, 5, 6, 7]
+    assert [totals[3].tolist() for _, totals in gens[:-1]] == [[2], [4], [8], [16], [32], [64]]
     assert gens[-1][1] is None  # 2^7 = 128 > 100
+
+
+def test_estimate_rejects_reps_over_node_budget():
+    """Generation 0 has one node per replica, so the budget bounds it too."""
+    with pytest.raises(ValueError, match="50 replicas exceed the node budget of 49"):
+        estimate_martingale_mean(CyclicPolya(8), ALPHA8, 3, 50, philox(0, 0), node_budget=49)
+    means = estimate_martingale_mean(CyclicPolya(8), ALPHA8, 3, 50, philox(0, 0), node_budget=50)
+    assert means.truncated_at == 1
 
 
 def test_batch_truncation_flag():
@@ -129,3 +183,50 @@ def test_branching_consistent_with_popdyn_moments():
         se_p = pool_vals.std(ddof=1) / math.sqrt(len(pool_vals))
         joint = math.hypot(se_b, se_p)
         assert abs(bt.mean() - pool_vals.mean()) <= 4.0 * joint
+
+
+@pytest.mark.parametrize("model, depth, reps, node_budget", [
+    pytest.param(BigginsBinary(complex(0.7071, 0.7071)), 8, 1000, 10_000_000, id="desk-rect"),
+    pytest.param(BigginsBinary(cmath.rect(2.15, 0.2732)), 8, 1000, 10_000_000, id="desk-polar"),
+    pytest.param(CyclicPolya(8), 8, 1000, 10_000_000, id="desk-polya8"),
+    pytest.param(DESK_TABULAR, 6, 1000, 10_000_000, id="desk-tabular"),
+    pytest.param(DESK_TABULAR, 8, 300, 200_000, id="tabular-crosses-kept"),
+    pytest.param(DESK_TABULAR, 6, 300, 100_000, id="tabular-crosses-final"),
+    # replicas of 20-child nodes straddle the draw blocks
+    pytest.param(WIDE_TABULAR, 8, 3000, 400_000, id="wide-crosses"),
+    pytest.param(WIDE_TABULAR, 3, 3000, 10_000_000, id="wide"),
+    # draws of 66000 and 70000 rows: the short tail joins the block before it
+    pytest.param(CyclicPolya(8), 2, 66_000, 10_000_000, id="polya-66000"),
+    pytest.param(CyclicPolya(8), 4, 70_000, 600_000, id="polya-70000"),
+    pytest.param(DESK_TABULAR, 0, 100, 10_000_000, id="depth-0"),
+])
+def test_streamed_generations_match_whole_generations(model, depth, reps, node_budget):
+    """Every byte of the estimate, and the generator's final state, equal those
+    of whole-generation lines reduced through a per-node owner array."""
+    alpha = find_alpha(model).alpha
+    rng, ref_rng = philox(5, 2, 0), philox(5, 2, 0)
+    means = estimate_martingale_mean(model, alpha, depth, reps, rng, node_budget=node_budget)
+    ref, ref_truncated_at = _reference_means(model, alpha, depth, reps, ref_rng, node_budget)
+    for name, arr in ref.items():
+        assert getattr(means, name).tobytes() == arr.tobytes(), name
+    assert means.truncated_at == ref_truncated_at
+    assert means.truncated == (ref_truncated_at is not None)
+    assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+
+def test_memory_is_two_generations():
+    """Peak memory is about 16 bytes per node of two consecutive generations,
+    well below whole-generation lines with an owner array and temporaries."""
+    reps, depth = 2000, 6
+    alpha = find_alpha(DESK_TABULAR).alpha
+    tracemalloc.start()
+    try:
+        means = estimate_martingale_mean(DESK_TABULAR, alpha, depth, reps, philox(0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not means.truncated
+    counts = means.node_count_mean * reps
+    pair = float((counts[1:] + counts[:-1]).max())
+    block = _BLOCK_ROWS * DESK_TABULAR.max_children * np.dtype(np.complex128).itemsize
+    assert peak < 2 * 16 * pair + block

@@ -227,6 +227,15 @@ def test_martingale_rejects_node_budget_below_one(tmp_path, capsys, polya_cfg):
     assert not out.exists() and not io.manifest_path(out).exists()
 
 
+def test_martingale_rejects_reps_over_node_budget(tmp_path, capsys, polya_cfg):
+    out = tmp_path / "mart.csv"
+    argv = ["martingale", "--model", polya_cfg, "--seed", "1", "--depth", "2",
+            "--reps", "50", "--node-budget", "40", "--out", str(out)]
+    assert main(argv) == 1
+    assert "50 replicas exceed the node budget of 40" in capsys.readouterr().err
+    assert not out.exists() and not io.manifest_path(out).exists()
+
+
 def test_martingale_rejects_bad_alpha(tmp_path, capsys, polya_cfg):
     out = tmp_path / "mart.csv"
     for alpha in ("nan", "inf", "-1", "0"):
