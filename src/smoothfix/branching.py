@@ -9,12 +9,19 @@ replicas together and reduces each generation to per-replica totals.
 Trees grow geometrically, so the generator stops early, and the estimator
 sets a truncation flag, once a generation would exceed the node budget (at
 least 1, and at least the number of replicas).  The budget also bounds
-memory, at about 16 bytes per node of two consecutive generations: a
-generation is drawn, multiplied and reduced in blocks of parents, and only
-the parent line and the child line are ever held.  A generation that may
-cross the budget is counted before it is stored: its blocks are drawn once
-to total their children, and drawn again from the same generator state
-only if the total stays within the budget.
+memory, at about 16 bytes per node of the last two generations that have
+children: a generation is drawn, multiplied and reduced in blocks of
+parents, and only the parent line and the child line are ever held.  A
+generation's line is stored only if the generation will be a parent, so a
+generation that would be the parent of a crossing generation is never
+stored.  Whenever generation n + 1 may cross the budget, it is counted
+before generation n is grown: generation n and then n + 1 are drawn
+through the model's counts map, which builds no weights, from a saved
+generator state.  If n + 1 crosses, generation n is grown without storing
+its line and the generator is left where the crossing count stopped; if
+not, the count of n + 1 and the state it ended in are kept for the next
+step.  No generation is counted twice, so no uniform is drawn more than
+twice.
 
 The bits follow one draw of a whole generation.  Blocks of rows consume
 rng exactly as one draw of all rows does; a generation of at least
@@ -59,32 +66,31 @@ def _draw_bounds(rows, may_cross):
     return list(zip(starts, starts[1:] + [rows]))
 
 
-def _crosses(model, rng, rows, node_budget):
-    """Draw the children counts of `rows` parents until their total exceeds node_budget."""
+def _count(model, rng, rows, node_budget):
+    """Children of `rows` parents, counted in plain blocks; the count stops at
+    the first block that takes it over node_budget."""
     total = 0
     for start, stop in _draw_bounds(rows, True):
-        total += int(model.draw_batch(rng, stop - start)[1].sum())
+        total += int(model._draw_counts(rng, stop - start).sum())
         if total > node_budget:
-            return True
-    return False
+            break
+    return total
 
 
-def _grow(model, alpha, rng, line, per_rep, may_cross, store, node_budget):
+def _grow(model, alpha, rng, line, per_rep, may_cross, capacity, node_budget):
     """Children of `line` and their per-replica totals (w, zr, zi, count).
 
     line holds the nodes of every replica in replica order, per_rep[r] of
-    replica r.  Returns (children or None when not stored, totals), or None
-    once the children exceed node_budget.
+    replica r.  The children are stored in an array of `capacity` nodes, or
+    not at all when capacity is None.  Returns (children or None, totals),
+    or None once the children exceed node_budget.
     """
     reps = per_rep.shape[0]
     ends = np.cumsum(per_rep)
     starts = ends - per_rep
     w, zr, zi = np.empty(reps), np.empty(reps), np.empty(reps)
     count = np.empty(reps, dtype=np.int64)
-    children = None
-    if store:
-        children = np.empty(min(line.shape[0] * model.max_children, node_budget),
-                            dtype=np.complex128)
+    children = None if capacity is None else np.empty(capacity, dtype=np.complex128)
     total = done = 0  # children drawn, replicas reduced
     carry_kids = np.empty(0, dtype=np.complex128)
     carry_owner = np.empty(0, dtype=np.int64)
@@ -98,8 +104,9 @@ def _grow(model, alpha, rng, line, per_rep, may_cross, store, node_budget):
         clipped = np.minimum(ends[r0:r1], e) - np.maximum(starts[r0:r1], s)
         kids = np.repeat(line[s:e], counts)
         np.multiply(kids, values, out=kids)
+        del values
         owner = np.repeat(np.repeat(np.arange(r0, r1), clipped), counts)
-        if store:
+        if children is not None:
             children[total:total + size] = kids
         total += size
         if carry_kids.size:  # a replica that straddles the block boundary
@@ -107,14 +114,19 @@ def _grow(model, alpha, rng, line, per_rep, may_cross, store, node_budget):
             owner = np.concatenate([carry_owner, owner])
         complete = int(np.searchsorted(ends, e, side="right"))  # replicas ended by row e
         k = int(np.searchsorted(owner, complete))
-        bins, m = owner[:k] - done, complete - done
-        w[done:complete] = np.bincount(bins, weights=np.abs(kids[:k]) ** alpha, minlength=m)
+        bins, m = owner[:k], complete - done
+        bins -= done
+        mag = np.abs(kids[:k])
+        mag **= alpha
+        w[done:complete] = np.bincount(bins, weights=mag, minlength=m)
+        del mag
         zr[done:complete] = np.bincount(bins, weights=kids[:k].real, minlength=m)
         zi[done:complete] = np.bincount(bins, weights=kids[:k].imag, minlength=m)
         count[done:complete] = np.bincount(bins, minlength=m)
-        carry_kids, carry_owner, done = kids[k:], owner[k:], complete
-    if store:
-        children = children[:total]
+        # copies, so that this block's arrays are freed before the next draw
+        carry_kids, carry_owner, done = kids[k:].copy(), owner[k:].copy(), complete
+    if children is not None and total < capacity:
+        children.resize(total, refcheck=False)  # in place; no view of children is alive
     return children, (w, zr, zi, count)
 
 
@@ -123,26 +135,49 @@ def _replica_totals(model, alpha, depth, reps, rng, node_budget):
 
     totals is (w, zr, zi, count): per-replica W_n, Re Z_n, Im Z_n and node
     counts.  It is None at the first generation that exceeds node_budget,
-    which ends the trees.
+    which ends the trees.  The generator is left where one draw of every
+    generation up to that one, or up to depth, leaves it.
     """
+    fan = model.max_children
     line = np.ones(reps, dtype=np.complex128)
     per_rep = np.ones(reps, dtype=np.int64)
+    ahead = None, None  # node count and end state of generation n, if counted at step n - 1
     for n in range(1, depth + 1):
-        may_cross = line.shape[0] * model.max_children > node_budget
-        store = n < depth
-        if may_cross and store:
-            state = rng.bit_generator.state
-            if _crosses(model, rng, line.shape[0], node_budget):
-                yield n, None
-                return
-            rng.bit_generator.state = state
-        grown = _grow(model, alpha, rng, line, per_rep, may_cross, store, node_budget)
+        rows = line.shape[0]
+        (size, end), ahead = ahead, (None, None)
+        crossing = None  # generator state where the count of generation n + 1 crossed
+        if n < depth and rows * fan * fan > node_budget:  # generation n + 1 may cross
+            start = rng.bit_generator.state
+            if size is None:
+                size = _count(model, rng, rows, node_budget)
+                if size > node_budget:
+                    yield n, None
+                    return
+            else:
+                rng.bit_generator.state = end
+            if size * fan > node_budget:
+                after = _count(model, rng, size, node_budget)
+                if after > node_budget:
+                    crossing = rng.bit_generator.state
+                else:
+                    ahead = after, rng.bit_generator.state
+            rng.bit_generator.state = start
+        capacity = None
+        if n < depth and crossing is None:  # generation n will have children
+            capacity = rows * fan if size is None else size
+        grown = _grow(model, alpha, rng, line, per_rep, rows * fan > node_budget,
+                      capacity, node_budget)
         if grown is None:
             yield n, None
             return
         line, totals = grown
         per_rep = totals[3]
+        if crossing is not None:
+            rng.bit_generator.state = crossing
         yield n, totals
+        if crossing is not None:
+            yield n + 1, None
+            return
 
 
 def estimate_martingale_mean(model, alpha: float, depth: int, reps: int,

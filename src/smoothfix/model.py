@@ -10,7 +10,11 @@ of uniform_budget uniforms per row to one weight vector per row, with no
 data-dependent consumption, which is what the counter-aligned
 population-dynamics streams require.  draw_batch(rng, size) feeds it
 rng.random((size, uniform_budget)) and backs the Monte Carlo moment
-estimates, the branching trees and the residual draws.  The degenerate
+estimates, the branching trees and the residual draws; _draw_counts(rng,
+size) feeds the same draw to a private counts map, which gives the
+children counts of weights_from_uniforms without building the weights
+(the branching generator counts a generation that may cross its node
+budget this way).  The degenerate
 uniform u = 0 (probability 2^-53 per draw) is clamped to 2^-53, never
 redrawn.
 """
@@ -54,6 +58,14 @@ class _WeightModel:
         """(values, counts) for `size` weight vectors; values are concatenated."""
         return self.weights_from_uniforms(rng.random((size, self.uniform_budget)))
 
+    def _draw_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The counts of draw_batch(rng, size), from the same uniforms, without the weights."""
+        return self._counts_from_uniforms(rng.random((size, self.uniform_budget)))
+
+    def _counts_from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        # every row has max_children children unless a model says otherwise
+        return np.full(np.shape(u)[0], self.max_children, dtype=np.int64)
+
 
 class BigginsBinary(_WeightModel):
     """N = 2 and T_j = exp(-lambda * S_j) / (2 cosh lambda), S_j iid on {+1, -1}."""
@@ -87,7 +99,7 @@ class BigginsBinary(_WeightModel):
         # u: (m, 2) uniforms; u < 0.5 selects S = +1
         u = np.asarray(u)[:, : self.uniform_budget]
         values = np.where(u < 0.5, self._t_plus, self._t_minus).astype(np.complex128)
-        return values.reshape(-1), np.full(u.shape[0], 2, dtype=np.int64)
+        return values.reshape(-1), self._counts_from_uniforms(u)
 
     def m_closed_form(self, s: float) -> float:
         a = self.lam.real
@@ -133,7 +145,7 @@ class CyclicPolya(_WeightModel):
         t1 = np.exp(self.zeta * np.log(u))
         t2 = self.zeta * np.exp(self.zeta * np.log1p(-u))
         values = np.stack([t1, t2], axis=1).reshape(-1)
-        return values, np.full(u.shape[0], 2, dtype=np.int64)
+        return values, self._counts_from_uniforms(u)
 
     def m_closed_form(self, s: float) -> float:
         # E|T_1|^s + E|T_2|^s = 2 E[U^{sc}] with c = cos(2 pi / b)
@@ -190,9 +202,16 @@ class Tabular(_WeightModel):
     def __repr__(self) -> str:
         return f"Tabular({len(self.atoms)} atoms)"
 
-    def weights_from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _atoms_from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        # the atom each row's first uniform selects
         u = np.asarray(u)[:, 0]
-        idx = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._cum) - 1)
+        return np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._cum) - 1)
+
+    def _counts_from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        return self._lens[self._atoms_from_uniforms(u)]
+
+    def weights_from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        idx = self._atoms_from_uniforms(u)
         counts = self._lens[idx]
         # row i takes the first counts[i] entries of its atom's run in _flat
         cols = np.arange(self.max_children)

@@ -9,13 +9,19 @@ import pytest
 
 from smoothfix import BigginsBinary, CyclicPolya, Tabular
 from smoothfix.analysis import find_alpha
-from smoothfix.branching import _BLOCK_ROWS, _replica_totals, estimate_martingale_mean
+from smoothfix.branching import (
+    _BLOCK_ROWS,
+    _ELIDE_ROWS,
+    _replica_totals,
+    estimate_martingale_mean,
+)
 from smoothfix.popdyn import run
 from smoothfix.rng import philox
 
 ALPHA8 = math.sqrt(2.0)
 DESK_TABULAR = Tabular([(0.5, (0.9,)), (0.5, (0.25, 0.25, 0.25, 0.25, 0.1))])  # E[N] = 3
 WIDE_TABULAR = Tabular([(0.5, (0.5,)), (0.5, (0.05,) * 20)])  # E[N] = 10.5
+SKEWED_TABULAR = Tabular([(0.9, (0.5,)), (0.1, (0.3,) * 10)])  # E[N] = 1.9, E[N]^2 < 10
 
 
 def _final_totals(model, alpha, depth, reps, rng):
@@ -199,6 +205,18 @@ def test_branching_consistent_with_popdyn_moments():
     pytest.param(CyclicPolya(8), 2, 66_000, 10_000_000, id="polya-66000"),
     pytest.param(CyclicPolya(8), 4, 70_000, 600_000, id="polya-70000"),
     pytest.param(DESK_TABULAR, 0, 100, 10_000_000, id="depth-0"),
+    # generation 4 crosses, counted ahead while generation 3 could not cross
+    pytest.param(DESK_TABULAR, 5, 1000, 63_000, id="tabular-next-crosses"),
+    # the desk tabular config at depth 7, at a tenth of its replicas and
+    # budget: the crossing generation is the final one
+    pytest.param(DESK_TABULAR, 7, 1000, 1_000_000, id="tabular-crosses-at-depth"),
+    # generations 3 and 4 are counted ahead, fit, and are grown from that count
+    pytest.param(SKEWED_TABULAR, 12, 1000, 20_000, id="skewed-ahead-reused"),
+    # the desk tabular config at depth 6, scaled the same way: the final
+    # generation is counted ahead
+    pytest.param(DESK_TABULAR, 6, 1000, 1_000_000, id="tabular-final-ahead"),
+    # generation 5 has exactly the budget's 3200 nodes
+    pytest.param(CyclicPolya(8), 8, 100, 3200, id="polya-exact-budget"),
 ])
 def test_streamed_generations_match_whole_generations(model, depth, reps, node_budget):
     """Every byte of the estimate, and the generator's final state, equal those
@@ -212,6 +230,32 @@ def test_streamed_generations_match_whole_generations(model, depth, reps, node_b
     assert means.truncated_at == ref_truncated_at
     assert means.truncated == (ref_truncated_at is not None)
     assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("model, depth, reps", [
+    # replicas of about 245 parents straddle the block boundaries of generation 6
+    pytest.param(DESK_TABULAR, 6, 1000, id="desk-tabular"),
+    # replica 0's 158969 parents span two whole blocks of generation 12
+    pytest.param(DESK_TABULAR, 12, 2, id="desk-2-replicas"),
+])
+def test_replica_totals_match_whole_generation_bincounts(model, depth, reps):
+    """Every replica's totals, in every generation, have the bytes of one
+    np.bincount over the whole generation, however the blocks split it."""
+    alpha = find_alpha(model).alpha
+    generations = list(_replica_totals(model, alpha, depth, reps, philox(5, 2, 0), 10_000_000))
+    assert [n for n, _ in generations] == list(range(1, depth + 1))
+    rng = philox(5, 2, 0)
+    line, owner = np.ones(reps, dtype=np.complex128), np.arange(reps)
+    for _, totals in generations:
+        values, counts = model.draw_batch(rng, line.shape[0])
+        line = np.repeat(line, counts) * values
+        owner = np.repeat(owner, counts)
+        expected = (np.bincount(owner, weights=np.abs(line) ** alpha, minlength=reps),
+                    np.bincount(owner, weights=line.real, minlength=reps),
+                    np.bincount(owner, weights=line.imag, minlength=reps),
+                    np.bincount(owner, minlength=reps))
+        for got, want in zip(totals, expected):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_memory_is_two_generations():
@@ -230,3 +274,26 @@ def test_memory_is_two_generations():
     pair = float((counts[1:] + counts[:-1]).max())
     block = _BLOCK_ROWS * DESK_TABULAR.max_children * np.dtype(np.complex128).itemsize
     assert peak < 2 * 16 * pair + block
+
+
+def test_parent_of_crossing_generation_not_stored():
+    """When generation n + 1 crosses the budget, generation n is grown without
+    being stored: peak memory is 16 bytes per node of the largest two
+    consecutive generations that have children, plus one draw's arrays."""
+    reps, depth, budget = 10_000, 8, 5_000_000
+    alpha = find_alpha(DESK_TABULAR).alpha
+    tracemalloc.start()
+    try:
+        means = estimate_martingale_mean(DESK_TABULAR, alpha, depth, reps, philox(0, 0),
+                                         node_budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert means.truncated_at == 6
+    parents = means.node_count_mean[:-1] * reps  # generation 5's children crossed
+    pair = float((parents[1:] + parents[:-1]).max())
+    # one draw of at most _BLOCK_ROWS + _ELIDE_ROWS parents holds, per child
+    # slot, a weight and a product (16 bytes each), a replica index and a
+    # magnitude (8 bytes each)
+    block = (_BLOCK_ROWS + _ELIDE_ROWS) * DESK_TABULAR.max_children * 48
+    assert peak < 16 * pair + block

@@ -159,6 +159,35 @@ def test_draw_batch_deterministic_and_matches_uniform_path():
             assert np.array_equal(a[0], x[0]) and np.array_equal(a[1], x[1])
 
 
+def test_counts_map_matches_weight_path():
+    """The private counts map, which the branching generator uses to count a
+    generation, gives the counts of weights_from_uniforms on the same
+    uniforms, and _draw_counts leaves the generator where draw_batch does."""
+    tabular = Tabular([(0.25, (1.0, 2.0)), (0.25, (3.0,)), (0.5, (4.0, 5.0, 6.0))])
+    models = [
+        BigginsBinary(cmath.exp(1j * math.pi / 4)),
+        CyclicPolya(8),
+        tabular,
+        Tabular([(0.5, (0.9,)), (0.5, (0.25, 0.25, 0.25, 0.25, 0.1))]),
+        Tabular([(1.0, (0.5, 0.5))]),
+    ]
+    below_one = np.nextafter(1.0, 0.0)
+    for model in models:
+        u = philox(3, 1).random((1000, model.uniform_budget))
+        edges = np.concatenate([[0.0], tabular._cum, [below_one]]) if model is tabular else [0.0]
+        edge_rows = np.repeat(np.asarray(edges)[:, None], model.uniform_budget, axis=1)
+        for block in (u, edge_rows):
+            counts = model._counts_from_uniforms(block)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, model.weights_from_uniforms(block)[1])
+        rng, ref = philox(9, 4), philox(9, 4)
+        assert np.array_equal(model._draw_counts(rng, 500), model.draw_batch(ref, 500)[1])
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+    # the last atom's edge: u at or past _cum[-1] = 1 still selects the last atom
+    u = np.array([[tabular._cum[0]], [tabular._cum[1]], [below_one], [1.0]])
+    assert tabular._counts_from_uniforms(u).tolist() == [1, 3, 3, 3]
+
+
 def test_config_roundtrip_and_polar_lambda():
     models = [
         BigginsBinary(2.15 * cmath.exp(2j * math.pi / 23)),
