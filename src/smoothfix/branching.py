@@ -9,27 +9,26 @@ replicas together and reduces each generation to per-replica totals.
 Trees grow geometrically, so the generator stops early, and the estimator
 sets a truncation flag, once a generation would exceed the node budget (at
 least 1, and at least the number of replicas).  The budget also bounds
-memory, at about 16 bytes per node of the last two generations that have
-children: a generation is drawn, multiplied and reduced in blocks of
-parents, and only the parent line and the child line are ever held.  A
-generation's line is stored only if the generation will be a parent, so a
-generation that would be the parent of a crossing generation is never
-stored.  Whenever generation n + 1 may cross the budget, it is counted
-before generation n is grown: generation n and then n + 1 are drawn
-through the model's counts map, which builds no weights, from a saved
-generator state.  If n + 1 crosses, generation n is grown without storing
-its line and the generator is left where the crossing count stopped; if
-not, the count of n + 1 and the state it ended in are kept for the next
-step.  No generation is counted twice, so no uniform is drawn more than
-twice.
+memory, for any replica count, at about 16 bytes per node of the last two
+generations that have children: a generation is drawn, multiplied and
+reduced in blocks of parents, and its line is stored only if it will be a
+parent.  Whenever generation n + 1 may cross the budget, it is counted
+before n is grown: n and then n + 1 are drawn through the model's counts
+map, which builds no weights, from a saved generator state.  If n + 1
+crosses, n is grown without storing its line and the generator is left
+where the crossing count stopped; if not, the count of n + 1 and its end
+state are kept for the next step.  No generation is counted twice, so no
+uniform is drawn more than twice.
 
 The bits follow one draw of a whole generation.  Blocks of rows consume
-rng exactly as one draw of all rows does; a generation of at least
+rng exactly as one draw of all rows does.  A generation of at least
 _ELIDE_ROWS rows is drawn in blocks of at least _ELIDE_ROWS rows, so that
-polya's zeta * np.exp(...) keeps the rounding numpy's temporary elision
-gives it (popdyn docstring), except that a generation that may cross the
-budget is drawn in plain _BLOCK_ROWS blocks.  Each np.bincount runs over
-whole replicas only, summing every replica's nodes in generation order.
+polya's zeta * np.exp(...) keeps the rounding of numpy's temporary elision
+(popdyn docstring), unless it may cross the budget: then the blocks are
+plain _BLOCK_ROWS.  A block reduces every replica it touches, continuing
+one begun in an earlier block by adding its running totals to its first
+node there; np.bincount adds in node order from 0.0, so every replica's
+sums are those of one np.bincount over the whole generation.
 """
 
 from __future__ import annotations
@@ -85,15 +84,12 @@ def _grow(model, alpha, rng, line, per_rep, may_cross, capacity, node_budget):
     not at all when capacity is None.  Returns (children or None, totals),
     or None once the children exceed node_budget.
     """
-    reps = per_rep.shape[0]
     ends = np.cumsum(per_rep)
     starts = ends - per_rep
-    w, zr, zi = np.empty(reps), np.empty(reps), np.empty(reps)
-    count = np.empty(reps, dtype=np.int64)
+    w, zr, zi = np.empty((3, per_rep.shape[0]))
+    count = np.zeros_like(per_rep)
     children = None if capacity is None else np.empty(capacity, dtype=np.complex128)
-    total = done = 0  # children drawn, replicas reduced
-    carry_kids = np.empty(0, dtype=np.complex128)
-    carry_owner = np.empty(0, dtype=np.int64)
+    total = 0  # children drawn
     for s, e in _draw_bounds(line.shape[0], may_cross):
         values, counts = model.draw_batch(rng, e - s)
         size = int(counts.sum())
@@ -105,26 +101,20 @@ def _grow(model, alpha, rng, line, per_rep, may_cross, capacity, node_budget):
         kids = np.repeat(line[s:e], counts)
         np.multiply(kids, values, out=kids)
         del values
-        owner = np.repeat(np.repeat(np.arange(r0, r1), clipped), counts)
+        bins, m = np.repeat(np.repeat(np.arange(r1 - r0), clipped), counts), r1 - r0
         if children is not None:
             children[total:total + size] = kids
         total += size
-        if carry_kids.size:  # a replica that straddles the block boundary
-            kids = np.concatenate([carry_kids, kids])
-            owner = np.concatenate([carry_owner, owner])
-        complete = int(np.searchsorted(ends, e, side="right"))  # replicas ended by row e
-        k = int(np.searchsorted(owner, complete))
-        bins, m = owner[:k], complete - done
-        bins -= done
-        mag = np.abs(kids[:k])
+        mag = np.abs(kids)
         mag **= alpha
-        w[done:complete] = np.bincount(bins, weights=mag, minlength=m)
+        if starts[r0] < s:  # replica r0 began in an earlier block: kids[0] is its
+            mag[0] += w[r0]  # next node, and bincount adds from 0.0 in node order
+            kids[0] += complex(zr[r0], zi[r0])
+        w[r0:r1] = np.bincount(bins, weights=mag, minlength=m)
         del mag
-        zr[done:complete] = np.bincount(bins, weights=kids[:k].real, minlength=m)
-        zi[done:complete] = np.bincount(bins, weights=kids[:k].imag, minlength=m)
-        count[done:complete] = np.bincount(bins, minlength=m)
-        # copies, so that this block's arrays are freed before the next draw
-        carry_kids, carry_owner, done = kids[k:].copy(), owner[k:].copy(), complete
+        zr[r0:r1] = np.bincount(bins, weights=kids.real, minlength=m)
+        zi[r0:r1] = np.bincount(bins, weights=kids.imag, minlength=m)
+        count[r0:r1] += np.bincount(bins, minlength=m)
     if children is not None and total < capacity:
         children.resize(total, refcheck=False)  # in place; no view of children is alive
     return children, (w, zr, zi, count)
@@ -183,7 +173,11 @@ def _replica_totals(model, alpha, depth, reps, rng, node_budget):
 def estimate_martingale_mean(model, alpha: float, depth: int, reps: int,
                              rng: np.random.Generator,
                              node_budget: int = 10_000_000) -> MartingaleMeans:
-    """Estimate E[W_n] and E[Z_n] for n = 0..depth from independent replicas."""
+    """Estimate E[W_n] and E[Z_n] for n = 0..depth from independent replicas.
+
+    The trees end at the first generation over node_budget nodes, and hold
+    about 16 bytes per node of the last two generations that have children,
+    for any replica count."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if depth < 0:

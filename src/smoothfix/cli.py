@@ -71,6 +71,12 @@ def _floats(text: str, flag: str) -> list[float]:
     return values
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():  # numpy seeds only non-negative integers
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _cmd_analyze(args) -> int:
     model = _load_model(args.model)
     report = check_assumptions(model, args.samples, args.seed)
@@ -214,7 +220,7 @@ def _build_parser() -> _Parser:
                         help="accepted for compatibility and ignored; Fourier scans use "
                              "every core of the CPU affinity mask")
     seeded = _Parser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int, required=True, help="seed for all randomness")
+    seeded.add_argument("--seed", type=_seed, required=True, help="seed for all randomness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[seeded],

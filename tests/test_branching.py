@@ -237,6 +237,10 @@ def test_streamed_generations_match_whole_generations(model, depth, reps, node_b
     pytest.param(DESK_TABULAR, 6, 1000, id="desk-tabular"),
     # replica 0's 158969 parents span two whole blocks of generation 12
     pytest.param(DESK_TABULAR, 12, 2, id="desk-2-replicas"),
+    # one replica's 2^18 parents span four blocks of the elided class
+    pytest.param(CyclicPolya(8), 19, 1, id="polya-1-replica"),
+    # one replica's parents, of up to 20 children each, span five blocks
+    pytest.param(WIDE_TABULAR, 8, 1, id="wide-1-replica"),
 ])
 def test_replica_totals_match_whole_generation_bincounts(model, depth, reps):
     """Every replica's totals, in every generation, have the bytes of one
@@ -274,6 +278,22 @@ def test_memory_is_two_generations():
     pair = float((counts[1:] + counts[:-1]).max())
     block = _BLOCK_ROWS * DESK_TABULAR.max_children * np.dtype(np.complex128).itemsize
     assert peak < 2 * 16 * pair + block
+
+
+def test_memory_of_one_replica_is_two_generations():
+    """A replica that spans many blocks is continued from its running totals:
+    peak memory is about 16 bytes per node of the last two generations."""
+    depth = 20
+    tracemalloc.start()
+    try:
+        *_, (n, totals) = _replica_totals(CyclicPolya(8), ALPHA8, depth, 1, philox(0, 0),
+                                          10_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == depth and totals[3].tolist() == [2 ** depth]
+    block = _BLOCK_ROWS * CyclicPolya(8).max_children * np.dtype(np.complex128).itemsize
+    assert peak < 2 * 16 * (2 ** (depth - 1) + 2 ** depth) + block
 
 
 def test_parent_of_crossing_generation_not_stored():

@@ -59,6 +59,18 @@ def test_seed_rejected_where_nothing_is_drawn(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys, polya_cfg):
+    before = sorted(tmp_path.iterdir())
+    for argv in (["analyze", "--model", polya_cfg, "--out", str(tmp_path / "report.json")],
+                 ["sample", "--model", polya_cfg, "--out", str(tmp_path / "pool.csv")],
+                 ["martingale", "--model", polya_cfg, "--out", str(tmp_path / "mart.csv")],
+                 ["figures", "--desk", "--outdir", str(tmp_path / "figures")]):
+        assert main(argv + ["--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: must be a non-negative integer, got -1" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_threads_below_one_is_usage_error(tmp_path, polya_cfg, capsys):
     pool_path = _write_gaussian_pool(tmp_path)
     before = sorted(tmp_path.iterdir())
