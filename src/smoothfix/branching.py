@@ -25,10 +25,15 @@ rng exactly as one draw of all rows does.  A generation of at least
 _ELIDE_ROWS rows is drawn in blocks of at least _ELIDE_ROWS rows, so that
 polya's zeta * np.exp(...) keeps the rounding of numpy's temporary elision
 (popdyn docstring), unless it may cross the budget: then the blocks are
-plain _BLOCK_ROWS.  A block reduces every replica it touches, continuing
-one begun in an earlier block by adding its running totals to its first
-node there; np.bincount adds in node order from 0.0, so every replica's
-sums are those of one np.bincount over the whole generation.
+plain _BLOCK_ROWS.  A block takes its children per replica from the
+cumulative sum of its parents' child counts, read at the replica
+boundaries, and adds each child's |L|^alpha and L into one float and one
+complex accumulator per generation with np.add.at.  np.add.at adds in node
+order, as np.bincount does, and the accumulators start at 0.0, so a
+replica begun in an earlier block simply continues from its running sums,
+and every replica's sums have the bits of one np.bincount over the whole
+generation (a complex sum adds the real and the imaginary parts as two
+float sums would).
 """
 
 from __future__ import annotations
@@ -86,38 +91,39 @@ def _grow(model, alpha, rng, line, per_rep, may_cross, capacity, node_budget):
     """
     ends = np.cumsum(per_rep)
     starts = ends - per_rep
-    w, zr, zi = np.empty((3, per_rep.shape[0]))
+    w = np.zeros(per_rep.shape[0])
+    z = np.zeros(per_rep.shape[0], dtype=np.complex128)
     count = np.zeros_like(per_rep)
     children = None if capacity is None else np.empty(capacity, dtype=np.complex128)
     total = 0  # children drawn
     for s, e in _draw_bounds(line.shape[0], may_cross):
         values, counts = model.draw_batch(rng, e - s)
-        size = int(counts.sum())
+        drawn = np.cumsum(counts)  # children of the block's first i + 1 parents
+        size = int(drawn[-1])
         if total + size > node_budget:
             return None
+        # replicas r0..r1 - 1 have parents in rows [s, e); per[r - r0] children here
         r0 = int(np.searchsorted(ends, s, side="right"))
         r1 = int(np.searchsorted(starts, e, side="left"))
-        clipped = np.minimum(ends[r0:r1], e) - np.maximum(starts[r0:r1], s)
-        kids = np.repeat(line[s:e], counts)
-        np.multiply(kids, values, out=kids)
-        del values
-        bins, m = np.repeat(np.repeat(np.arange(r1 - r0), clipped), counts), r1 - r0
-        if children is not None:
-            children[total:total + size] = kids
+        per = np.diff(drawn[np.minimum(ends[r0:r1], e) - s - 1], prepend=0)
+        del drawn
+        parents = np.repeat(line[s:e], counts)  # each child's parent node
+        del counts
+        kids = parents if children is None else children[total:total + size]
+        np.multiply(parents, values, out=kids)
+        del parents, values
         total += size
+        bins = np.repeat(np.arange(r0, r1), per)
+        count[r0:r1] += per
         mag = np.abs(kids)
         mag **= alpha
-        if starts[r0] < s:  # replica r0 began in an earlier block: kids[0] is its
-            mag[0] += w[r0]  # next node, and bincount adds from 0.0 in node order
-            kids[0] += complex(zr[r0], zi[r0])
-        w[r0:r1] = np.bincount(bins, weights=mag, minlength=m)
+        np.add.at(w, bins, mag)
         del mag
-        zr[r0:r1] = np.bincount(bins, weights=kids.real, minlength=m)
-        zi[r0:r1] = np.bincount(bins, weights=kids.imag, minlength=m)
-        count[r0:r1] += np.bincount(bins, minlength=m)
+        np.add.at(z, bins, kids)
+        del kids  # a view of children, which is resized below
     if children is not None and total < capacity:
         children.resize(total, refcheck=False)  # in place; no view of children is alive
-    return children, (w, zr, zi, count)
+    return children, (w, z.real, z.imag, count)
 
 
 def _replica_totals(model, alpha, depth, reps, rng, node_budget):

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import check_assumptions, find_alpha
 from .branching import estimate_martingale_mean
-from .density import DensityLine, grid_integral, kde2d
+from .density import DensityLine, check_cells, grid_integral, kde2d
 from .fourier import decay_from_grid, polar_grid
 from .model import ConfigError, fingerprint, model_from_config
 from .rng import DOMAIN_BRANCHING, philox
@@ -191,14 +191,15 @@ def _figure_models():
 
 
 def _cmd_figures(args) -> int:
+    check_cells(args.grid)  # kde2d's check, made before any sampling
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     n, k = (10_000, 50) if args.desk else (1_000_000, 100)
     written = []
     for name, cfg in _figure_models():
         model = model_from_config({"model": cfg})
         result = popdyn.run(model, n=n, K=k, seed=args.seed)
         den = kde2d(result.pool, cells=args.grid)  # before any write, so a failure leaves none
+        outdir.mkdir(parents=True, exist_ok=True)
         pool_path = io.write_pool_csv(outdir / f"{name}_pool.csv", result.pool, result.summaries)
         den_path = io.write_density_csv(outdir / f"{name}_density.csv", den)
         io.write_manifest(outdir / f"{name}.csv", args.argv, args.seed, fingerprint(model),

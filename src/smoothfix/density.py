@@ -74,9 +74,14 @@ class DensityLine:
     axis: str  # which sample component the line estimates, "re" or "im"
 
 
-def _axis_grid(data: np.ndarray, h: float, cells: int) -> np.ndarray:
+def check_cells(cells: int) -> None:
+    """Reject a density grid of fewer than 2 cells per axis."""
     if cells < 2:
         raise ValueError(f"a density grid needs at least 2 cells per axis, got {cells}")
+
+
+def _axis_grid(data: np.ndarray, h: float, cells: int) -> np.ndarray:
+    check_cells(cells)
     mid = float(data.mean())
     span = 4.0 * max(float(data.std()), h)
     lo, hi = mid - span, mid + span
@@ -121,22 +126,31 @@ def _fine_axis(grid: np.ndarray, h: float) -> _FineAxis | None:
     return _FineAxis(float(grid[0]), pad, spacing, (cells - 1) * m + 1 + 2 * pad)
 
 
+def _bin_chunk(xs, ys, fx: _FineAxis, fy: _FineAxis) -> np.ndarray:
+    """Bilinear masses of one chunk of samples on the flattened fine grid."""
+    nx, ny = fx.count, fy.count
+    tx, ty = fx.index(xs), fy.index(ys)
+    keep = (tx >= 0) & (tx < nx - 1) & (ty >= 0) & (ty < ny - 1)
+    tx, ty = tx[keep], ty[keep]
+    del keep
+    ix, iy = tx.astype(np.int64), ty.astype(np.int64)
+    wx, wy = tx - ix, ty - iy
+    del tx, ty
+    flat = ix * ny + iy
+    del ix, iy
+    cells = np.concatenate([flat, flat + 1, flat + ny, flat + ny + 1])
+    del flat
+    weights = np.concatenate([(1 - wx) * (1 - wy), (1 - wx) * wy, wx * (1 - wy), wx * wy])
+    del wx, wy  # only the cells, their weights and the grid while bincount runs
+    return np.bincount(cells, weights, minlength=nx * ny)
+
+
 def _mass_grid(xs, ys, fx: _FineAxis, fy: _FineAxis) -> np.ndarray:
     """Bilinear binning of unit sample masses onto the fine nodes."""
-    nx, ny = fx.count, fy.count
-    mass = np.zeros(nx * ny)
-    for a in range(0, xs.shape[0], _BIN_CHUNK):
-        tx = fx.index(xs[a : a + _BIN_CHUNK])
-        ty = fy.index(ys[a : a + _BIN_CHUNK])
-        keep = (tx >= 0) & (tx < nx - 1) & (ty >= 0) & (ty < ny - 1)
-        tx, ty = tx[keep], ty[keep]
-        ix, iy = tx.astype(np.int64), ty.astype(np.int64)
-        wx, wy = tx - ix, ty - iy
-        flat = ix * ny + iy
-        cells = np.concatenate([flat, flat + 1, flat + ny, flat + ny + 1])
-        weights = np.concatenate([(1 - wx) * (1 - wy), (1 - wx) * wy, wx * (1 - wy), wx * wy])
-        mass += np.bincount(cells, weights, minlength=nx * ny)
-    return mass.reshape(nx, ny)
+    mass = _bin_chunk(xs[:_BIN_CHUNK], ys[:_BIN_CHUNK], fx, fy)
+    for a in range(_BIN_CHUNK, xs.shape[0], _BIN_CHUNK):
+        mass += _bin_chunk(xs[a : a + _BIN_CHUNK], ys[a : a + _BIN_CHUNK], fx, fy)
+    return mass.reshape(fx.count, fy.count)
 
 
 def _kernel_matrix(grid: np.ndarray, data: np.ndarray, h: float) -> np.ndarray:

@@ -14,9 +14,20 @@ estimates, the branching trees and the residual draws; _draw_counts(rng,
 size) feeds the same draw to a private counts map, which gives the
 children counts of weights_from_uniforms without building the weights
 (the branching generator counts a generation that may cross its node
-budget this way).  The degenerate
-uniform u = 0 (probability 2^-53 per draw) is clamped to 2^-53, never
-redrawn.
+budget this way).  The degenerate uniform u = 0 (probability 2^-53 per
+draw) is clamped to 2^-53, never redrawn.
+
+BigginsBinary and Tabular map uniforms through tables.  Biggins takes
+each weight from the 2-entry table (T_-, T_+), indexed by u < 0.5.
+Tabular selects a row's atom as k - 1 less the number of the k - 1
+cumulative thresholds above its uniform, which is
+searchsorted(side="right") on the cumulative probabilities.  The
+comparisons cost O(k) per row: on 2^16 random uniforms (2 vCPUs, numpy
+2.4.6) they took 0.07 ms at 2 atoms against 1.3 ms for searchsorted,
+but 48 ms at 1000 atoms against 5.5 ms.  It then gathers the row's run
+of the atom's weights in _flat through one index array, which steps by
+1 inside a row and jumps to the next row's run at each row's first
+child.
 """
 
 from __future__ import annotations
@@ -88,8 +99,7 @@ class BigginsBinary(_WeightModel):
         if abs(den) < 1e-12:
             raise ValueError(f"cosh(lambda) vanishes at lambda = {lam!r}")
         self.lam = lam
-        self._t_plus = t_plus
-        self._t_minus = t_minus
+        self._table = np.array([t_minus, t_plus])  # indexed by u < 0.5
         self._log_abs_cosh = math.log(abs(cmath.cosh(lam)))
 
     def __repr__(self) -> str:
@@ -98,7 +108,7 @@ class BigginsBinary(_WeightModel):
     def weights_from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # u: (m, 2) uniforms; u < 0.5 selects S = +1
         u = np.asarray(u)[:, : self.uniform_budget]
-        values = np.where(u < 0.5, self._t_plus, self._t_minus).astype(np.complex128)
+        values = np.take(self._table, u < 0.5)
         return values.reshape(-1), self._counts_from_uniforms(u)
 
     def m_closed_form(self, s: float) -> float:
@@ -203,20 +213,34 @@ class Tabular(_WeightModel):
         return f"Tabular({len(self.atoms)} atoms)"
 
     def _atoms_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        # the atom each row's first uniform selects
+        # the atom each row's first uniform selects: k - 1 less the number of
+        # thresholds cum[:-1] above u, which is searchsorted(side="right"),
+        # NaN included
         u = np.asarray(u)[:, 0]
-        return np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._cum) - 1)
+        idx = np.full(u.shape[0], len(self._cum) - 1, dtype=np.int64)
+        for threshold in self._cum[:-1]:
+            idx -= u < threshold
+        return idx
 
     def _counts_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return self._lens[self._atoms_from_uniforms(u)]
 
     def weights_from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = self._atoms_from_uniforms(u)
+        del u
         counts = self._lens[idx]
-        # row i takes the first counts[i] entries of its atom's run in _flat
-        cols = np.arange(self.max_children)
-        values = self._flat[(self._offsets[idx][:, None] + cols)[cols < counts[:, None]]]
-        return values, counts
+        first = self._offsets[idx]  # each row's run in _flat starts here
+        del idx
+        # row i takes the first counts[i] entries of its run: the gather index
+        # steps by 1 inside a row and jumps at each row's first child, from the
+        # previous row's last entry first[i - 1] + counts[i - 1] - 1
+        ends = np.cumsum(counts)
+        at = np.ones(int(counts.sum()), dtype=np.int64)
+        at[:1] = first[:1]
+        at[ends[:-1]] = first[1:] - first[:-1] - counts[:-1] + 1
+        del first, ends
+        np.cumsum(at, out=at)
+        return self._flat[at], counts
 
     def m_closed_form(self, s: float) -> float:
         log_abs = np.log(np.abs(self._flat))

@@ -1,6 +1,7 @@
 """End-to-end command-line checks driven through main()."""
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothfix import CyclicPolya, fourier, io
+from smoothfix import CyclicPolya, fourier, io, popdyn
 from smoothfix.analysis import check_assumptions
 from smoothfix.cli import main
 from smoothfix.popdyn import SamplePool
@@ -152,6 +153,36 @@ def test_martingale_csv_header(tmp_path, biggins_cfg, capsys):
     assert header == "n,mean_W,se_W,mean_Z_re,mean_Z_im,se_Z,node_count_mean"
     manifest = json.loads(io.manifest_path(out).read_text())
     assert manifest["alpha"] == pytest.approx(1.0, abs=1e-6)
+
+
+# the four README quick-start configs; the tabular one is the form model_to_config writes
+DESK_CONFIGS = {
+    "biggins_rect": {"type": "biggins", "lambda": {"re": 0.7071, "im": 0.7071}},
+    "biggins_polar": {"type": "biggins", "lambda": {"modulus": 2.15, "arg": 0.2732}},
+    "polya_b8": {"type": "polya", "b": 8},
+    "tabular": {"type": "tabular", "atoms": [
+        {"prob": 0.5, "weights": [[0.9, 0.0]]},
+        {"prob": 0.5, "weights": [[0.25, 0.0], [0.25, 0.0], [0.25, 0.0], [0.25, 0.0],
+                                  [0.1, 0.0]]},
+    ]},
+}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("biggins_rect", "51a4a91ae471b653e4b149dc41c4340df5dd230c730bbda2e5dfe5f03cf4a3a9"),
+    ("biggins_polar", "d1c4c0f2f7ea2615b77e982ec9332f0c66eb1dbae739c1f37e688c1e12bf5692"),
+    ("polya_b8", "bfa18c889e8499fa02e512560ba763748ca906d144300945f2c614a10dccc542"),
+    ("tabular", "c1d2b6e9b8fd71c560ce76999e1f62ae4fb7c6e71001173fcbebdf3ad2a4b23d"),
+])
+def test_martingale_csv_bytes_are_pinned(tmp_path, capsys, name, digest):
+    """The martingale tables of the desk configs keep the bytes recorded
+    before the branching reduction moved to per-block np.add.at sums."""
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({"model": DESK_CONFIGS[name]}))
+    out = tmp_path / "mart.csv"
+    assert main(["martingale", "--model", str(cfg), "--seed", "1", "--depth", "8",
+                 "--reps", "2000", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_ecf_scan_csv_and_thread_invariance(tmp_path, monkeypatch, capsys):
@@ -428,12 +459,19 @@ def test_density_rejects_non_finite_bandwidth(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_figures_failure_leaves_no_pool(tmp_path, capsys):
+def test_figures_failure_leaves_no_pool(tmp_path, capsys, monkeypatch):
+    """--grid is checked before any sampling, and nothing is written."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("popdyn.run called before --grid was checked")
+
+    monkeypatch.setattr(popdyn, "run", no_run)
     outdir = tmp_path / "figs"
-    assert main(["figures", "--desk", "--seed", "1", "--grid", "1",
-                 "--outdir", str(outdir)]) == 1
-    assert "at least 2 cells" in capsys.readouterr().err
-    assert list(outdir.iterdir()) == []  # no pool, meta or manifest
+    for grid in ("0", "1"):
+        assert main(["figures", "--desk", "--seed", "1", "--grid", grid,
+                     "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert f"a density grid needs at least 2 cells per axis, got {grid}" in err
+        assert not outdir.exists()  # no pool, meta, manifest or directory
 
 
 def test_density_bandwidth_flag(tmp_path, capsys):

@@ -30,6 +30,18 @@ def test_biggins_weights_lambda_one():
     assert values[0].real + values[1].real == pytest.approx(1.0, abs=1e-15)
 
 
+def test_biggins_half_uniform_selects_t_minus():
+    """u < 0.5 selects S = +1, so u = 0.5 exactly selects T_- = e^lambda / (2 cosh lambda)."""
+    lam = cmath.exp(1j * math.pi / 4)
+    model = BigginsBinary(lam)
+    t_plus = cmath.exp(-lam) / (2.0 * cmath.cosh(lam))
+    t_minus = cmath.exp(lam) / (2.0 * cmath.cosh(lam))
+    below = np.nextafter(0.5, 0.0)
+    values, counts = model.weights_from_uniforms(np.array([[0.5, below], [0.0, 0.5]]))
+    assert values.dtype == np.complex128 and counts.tolist() == [2, 2]
+    assert values.tolist() == [t_minus, t_plus, t_plus, t_minus]
+
+
 def test_biggins_rejects_vanishing_cosh():
     with pytest.raises(ValueError):
         BigginsBinary(1j * math.pi / 2)
@@ -130,6 +142,43 @@ def test_tabular_ragged_gather_layout():
     assert counts.tolist() == [2, 1, 3]
     assert values.tolist() == [1, 2, 3, 4, 5, 6]
     assert model.max_children == 3
+
+
+def _random_tabular(k, seed, max_len=1):
+    rng = np.random.default_rng(seed)
+    probs = rng.random(k) + 0.1
+    probs /= probs.sum()
+    lens = rng.integers(1, max_len + 1, k)
+    return Tabular([(p, tuple(rng.random(n) + 1j * rng.random(n)))
+                    for p, n in zip(probs, lens)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 33, 64, 1000])
+def test_tabular_atom_selection_matches_searchsorted(k):
+    """Atoms are selected by comparing u with the k - 1 cumulative thresholds,
+    which gives searchsorted(side="right"), at every threshold exactly and at
+    NaN too."""
+    model = _random_tabular(k, k)
+    cum = model._cum
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0), 1.0, np.nan], cum[:-1],
+                        np.nextafter(cum[:-1], 0.0), philox(k, 3).random(5000)])
+    expected = np.minimum(np.searchsorted(cum, u, side="right"), k - 1)
+    assert np.array_equal(model._atoms_from_uniforms(u[:, None]), expected)
+
+
+def test_tabular_gather_matches_index_matrix_gather():
+    """The run-offset gather takes each row's first counts[i] entries of its
+    atom's run, as a rows x max_children index matrix and mask would."""
+    for k, seed in ((2, 0), (5, 1), (33, 2)):
+        model = _random_tabular(k, seed, max_len=7)
+        u = np.concatenate([[[0.0]], philox(seed, 5).random((3000, 1))])
+        values, counts = model.weights_from_uniforms(u)
+        idx = np.minimum(np.searchsorted(model._cum, u[:, 0], side="right"), k - 1)
+        cols = np.arange(model.max_children)
+        matrix = (model._offsets[idx][:, None] + cols)[cols < model._lens[idx][:, None]]
+        assert np.array_equal(counts, model._lens[idx])
+        assert values.tobytes() == model._flat[matrix].tobytes()
+    assert Tabular([(1.0, (2.0,))]).weights_from_uniforms(np.empty((0, 1)))[0].shape == (0,)
 
 
 def test_tabular_m_closed_form_exact():
