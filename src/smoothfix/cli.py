@@ -92,7 +92,7 @@ def _cmd_sample(args) -> int:
     result = popdyn.run(model, n=args.pool_size, K=args.iterations, seed=args.seed)
     out = io.write_pool_csv(args.out, result.pool, result.summaries)
     io.write_manifest(out, args.argv, args.seed, fingerprint(model),
-                      outputs=[out, io.pool_meta_path(out)])
+                      outputs=io.pool_files(out))
     s = result.summaries[-1]
     print(
         f"sample: n={result.pool.n} K={result.pool.generation} "
@@ -202,11 +202,12 @@ def _cmd_figures(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         pool_path = io.write_pool_csv(outdir / f"{name}_pool.csv", result.pool, result.summaries)
         den_path = io.write_density_csv(outdir / f"{name}_density.csv", den)
+        outputs = [*io.pool_files(pool_path), den_path]
         io.write_manifest(outdir / f"{name}.csv", args.argv, args.seed, fingerprint(model),
-                          outputs=[pool_path, den_path],
+                          outputs=outputs,
                           extra={"config": cfg, "n": n, "iterations": k,
                                  "integral": grid_integral(den)})
-        written.extend([pool_path, den_path])
+        written.extend(outputs)
         print(f"figures: {name} n={n} K={k} -> {pool_path.name}, {den_path.name}")
     io.write_manifest(outdir / "figures.json", args.argv, args.seed, "",
                       outputs=written, extra={"desk": bool(args.desk)})

@@ -507,3 +507,58 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "smoothfix" in proc.stdout
+
+
+def test_ecf_and_density_outputs_do_not_depend_on_the_sidecar(tmp_path, polya_cfg, capsys,
+                                                              monkeypatch):
+    pool = tmp_path / "pool.csv"
+    assert main(["sample", "--model", polya_cfg, "--seed", "3", "--pool-size", "2000",
+                 "--iterations", "5", "--out", str(pool)]) == 0
+    runs = [
+        ["ecf", "--pool", str(pool), "--order", "0", "--radii", "1,2,4", "--angles", "16"],
+        ["ecf", "--pool", str(pool), "--order", "1", "--radii", "0.5,1,2,4", "--angles", "16"],
+        ["density", "--pool", str(pool), "--grid", "32"],
+    ]
+    parses = []
+    parse = io._parse_pool_csv
+    monkeypatch.setattr(io, "_parse_pool_csv", lambda path: parses.append(path) or parse(path))
+
+    def outputs():
+        files = []
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"out{i}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            files.append((out.read_bytes(), io.manifest_path(out).read_bytes()))
+        return files
+
+    with_sidecar = outputs()
+    assert parses == []
+    io.pool_samples_path(pool).unlink()
+    assert outputs() == with_sidecar
+    assert len(parses) == len(runs)
+
+
+def test_manifests_list_every_pool_file(tmp_path, polya_cfg, capsys, monkeypatch):
+    pool = tmp_path / "pool.csv"
+    assert main(["sample", "--model", polya_cfg, "--seed", "3", "--pool-size", "200",
+                 "--iterations", "2", "--out", str(pool)]) == 0
+    sample_files = io.pool_files(pool)
+    assert json.loads(io.manifest_path(pool).read_text())["outputs"] == list(map(str, sample_files))
+    assert all(p.exists() for p in sample_files)
+
+    run = popdyn.run  # figures at a tenth of a desk run's pool, for speed
+    monkeypatch.setattr(popdyn, "run", lambda model, n, K, seed: run(model, n // 10, 2, seed))
+    outdir = tmp_path / "figs"
+    assert main(["figures", "--desk", "--seed", "1", "--grid", "16",
+                 "--outdir", str(outdir)]) == 0
+    written = []
+    for name in ("biggins_tilt23", "biggins_pi4", "polya_b7", "polya_b8", "polya_b9",
+                 "polya_b12"):
+        files = [*io.pool_files(outdir / f"{name}_pool.csv"), outdir / f"{name}_density.csv"]
+        doc = json.loads((outdir / f"{name}.manifest.json").read_text())
+        assert doc["outputs"] == list(map(str, files))
+        written += files
+    top = json.loads((outdir / "figures.manifest.json").read_text())
+    assert top["outputs"] == list(map(str, written))
+    manifests = set(outdir.glob("*.manifest.json"))
+    assert set(outdir.iterdir()) - manifests == set(written)

@@ -1,4 +1,5 @@
-"""CSV writers against np.savetxt, the per-row formatter they replace."""
+"""CSV writers against np.savetxt, the per-row formatter they replace, and pool
+reads through the .samples.npy sidecar against the CSV parse."""
 
 import json
 import tracemalloc
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smoothfix import CyclicPolya, io
+from smoothfix import BigginsBinary, CyclicPolya, Tabular, io
 from smoothfix.branching import MartingaleMeans
 from smoothfix.density import DensityGrid, DensityLine
 from smoothfix.fourier import PolarGrid
@@ -115,7 +116,8 @@ def test_unserialisable_pool_meta_writes_no_files(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-META_KEYS = {"generation", "seed", "model_fingerprint", "n", "summaries"}
+META_KEYS = {"generation", "seed", "model_fingerprint", "n", "summaries", "csv_sha256",
+             "npy_sha256"}
 SUMMARY_KEYS = {"generation", "mean_re", "mean_im", "spread", "mean_se", "im_dispersion"}
 
 
@@ -141,3 +143,176 @@ def test_pool_meta_with_moment_order_keys_still_loads(tmp_path):
     assert pool.samples.tobytes() == result.pool.samples.tobytes()
     assert (pool.n, pool.generation, pool.seed) == (50, 3, 2)
     assert pool.model_fingerprint == result.pool.model_fingerprint
+
+
+# -- the .samples.npy sidecar against the CSV parse ---------------------------
+
+def _special_pool(n) -> SamplePool:
+    rng = np.random.default_rng(n)
+    z = np.empty(n, dtype=np.complex128)
+    z.real, z.imag = _floats(rng, n), _floats(rng, n)[::-1]
+    return SamplePool(4, z, 9, "fp")
+
+
+FAMILIES = {
+    "biggins": BigginsBinary(complex(np.cos(np.pi / 4), np.sin(np.pi / 4))),
+    "polya": CyclicPolya(8),
+    "tabular": Tabular([(0.5, (0.9,)), (0.5, (0.25, 0.25, 0.25, 0.25, 0.1))]),
+}
+
+
+class _ParseSpy:
+    """Counts the reader's CSV parses: 0 means the samples came from the sidecar."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        parse = io._parse_pool_csv
+
+        def counted(path):
+            self.calls += 1
+            return parse(path)
+
+        monkeypatch.setattr(io, "_parse_pool_csv", counted)
+
+
+@pytest.mark.parametrize("case", [2, 4095, 4096, 4097, 100_000, *FAMILIES])
+def test_sidecar_read_matches_the_csv_parse(tmp_path, monkeypatch, case):
+    if case in FAMILIES:
+        pool = run(FAMILIES[case], n=3000, K=3, seed=5).pool
+    else:
+        pool = _special_pool(case)
+    path = io.write_pool_csv(tmp_path / "pool.csv", pool)
+    assert io.pool_files(path) == [path, io.pool_meta_path(path), io.pool_samples_path(path)]
+    spy = _ParseSpy(monkeypatch)
+    via_sidecar = io.read_pool_csv(path)
+    assert spy.calls == 0
+    io.pool_samples_path(path).unlink()
+    via_parse = io.read_pool_csv(path)
+    assert spy.calls == 1
+    assert via_sidecar.samples.dtype == via_parse.samples.dtype == np.complex128
+    assert via_sidecar.samples.tobytes() == via_parse.samples.tobytes()
+    assert (via_sidecar.generation, via_sidecar.seed, via_sidecar.model_fingerprint) == (
+        via_parse.generation, via_parse.seed, via_parse.model_fingerprint)
+
+
+def _edit_csv_digit(path):
+    text = path.read_text()
+    i = text.index("\n") + 1  # first digit of the first sample
+    path.write_text(text[:i] + ("2" if text[i] == "1" else "1") + text[i + 1 :])
+
+
+def _truncate_sidecar(path):
+    side = io.pool_samples_path(path)
+    side.write_bytes(side.read_bytes()[:-16])
+
+
+def _corrupt_sidecar(path):
+    side = io.pool_samples_path(path)
+    data = bytearray(side.read_bytes())
+    data[-1] ^= 1
+    side.write_bytes(bytes(data))
+
+
+def _drop_digests(path):
+    meta_path = io.pool_meta_path(path)
+    meta = json.loads(meta_path.read_text())
+    del meta["csv_sha256"], meta["npy_sha256"]
+    meta_path.write_text(json.dumps(meta))
+
+
+STALE = {
+    "csv-digit-edited": _edit_csv_digit,
+    "sidecar-truncated": _truncate_sidecar,
+    "sidecar-corrupted": _corrupt_sidecar,
+    "sidecar-deleted": lambda path: io.pool_samples_path(path).unlink(),
+    "meta-without-digests": _drop_digests,
+    "no-meta": lambda path: io.pool_meta_path(path).unlink(),
+}
+
+
+@pytest.mark.parametrize("stale", STALE)
+def test_stale_sidecar_is_never_used(tmp_path, monkeypatch, stale):
+    path = io.write_pool_csv(tmp_path / "pool.csv", _special_pool(4097))
+    STALE[stale](path)
+    spy = _ParseSpy(monkeypatch)
+    samples = io.read_pool_csv(path).samples
+    assert spy.calls == 1
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert samples.tobytes() == (data[:, 0] + 1j * data[:, 1]).tobytes()
+
+
+def _set_row(path, row):
+    lines = path.read_text().splitlines()
+    lines[3] = row  # the third data row, line 4
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("row", ["nan,0", "1,-inf", "1,2,3"])
+def test_edited_csv_raises_the_parse_error_with_the_sidecar_present(tmp_path, monkeypatch, row):
+    """Each edit raises what the parse alone raises: here with the sidecar and
+    meta left in place, there with both deleted."""
+    def error(path):
+        with pytest.raises(ValueError) as info:
+            io.read_pool_csv(path)
+        return str(info.value)
+
+    with_sidecar, alone = tmp_path / "a" / "pool.csv", tmp_path / "b" / "pool.csv"
+    for path in (with_sidecar, alone):
+        path.parent.mkdir()
+        io.write_pool_csv(path, _special_pool(50))
+        _set_row(path, row)
+    io.pool_samples_path(alone).unlink()
+    io.pool_meta_path(alone).unlink()
+    spy = _ParseSpy(monkeypatch)
+    message = error(with_sidecar)
+    assert spy.calls == 1
+    assert message.replace("/a/", "/b/") == error(alone)
+    assert "line 4" in message or "row 3" in message  # numpy's own error counts data rows
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pool_written_with_non_finite_samples_reads_through_the_parse(tmp_path, bad):
+    # the digests match, but only the parse names the offending line
+    z = np.ones(6, dtype=np.complex128)
+    z[2] = complex(bad, 0.0)
+    path = io.write_pool_csv(tmp_path / "pool.csv", SamplePool(0, z, 1, "fp"))
+    with pytest.raises(ValueError, match="non-finite sample on line 4"):
+        io.read_pool_csv(path)
+
+
+def test_empty_pool_reads_through_the_parse(tmp_path):
+    path = io.write_pool_csv(tmp_path / "pool.csv",
+                             SamplePool(0, np.zeros(0, dtype=np.complex128), 1, "fp"))
+    with pytest.raises(ValueError, match="no samples"):
+        io.read_pool_csv(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("generation", -1, "generation must be a non-negative integer"),
+    ("seed", "1", "seed must be an integer or null"),
+    ("model_fingerprint", 5, "model_fingerprint must be a string"),
+])
+def test_meta_checks_run_on_the_sidecar_path(tmp_path, monkeypatch, key, value, message):
+    path = io.write_pool_csv(tmp_path / "pool.csv", _special_pool(100))
+    meta_path = io.pool_meta_path(path)
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    spy = _ParseSpy(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        io.read_pool_csv(path)
+    assert spy.calls == 0
+
+
+def test_sidecar_reader_memory_is_near_the_samples_array(tmp_path, monkeypatch):
+    z = np.random.default_rng(7).standard_normal(500_000).view(np.complex128)
+    path = io.write_pool_csv(tmp_path / "big.csv", SamplePool(1, z, 1, "fp"))
+    spy = _ParseSpy(monkeypatch)
+    tracemalloc.start()
+    try:
+        samples = io.read_pool_csv(path).samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spy.calls == 0 and samples.tobytes() == z.tobytes()
+    assert peak < 1.5 * z.nbytes  # the parse holds a float table and the complex array, 2x
