@@ -6,17 +6,17 @@ supercriticality (A1), existence of alpha (A2), the negative-drift and
 W_1 log W_1 conditions (A3), the |Z_1|^alpha log-moment condition (A4),
 the offspring second-moment conditions (C1), and a support probe for the
 fixed point (Z1).  The report's thresholds are fixed: alpha is searched in
-(0, 10] and bisected to width 1e-9, A4 uses eps = 0.1, the support class
-is read from the first 10^4 draws, and Z1 passes when a 2000-sample,
-10-generation pool has an imaginary-part spread above 1e-6.
+(0, 10] and bisected to width 1e-9, A4 uses eps = 0.1, and Z1 passes when
+a 2000-sample, 10-generation pool has an imaginary-part spread above 1e-6.
 
-alpha and m'(alpha) come from the model's closed forms.  Monte Carlo
-paths (the report's moments, find_alpha with method="monte_carlo") reuse
-one table of weight draws across all s, so estimated curves are smooth
-convex functions of s and bisection on them is well posed.  Moment
-finiteness is never provable from samples; it is flagged "pass" when the
-estimate stabilizes (relative change over the last doubling of the sample
-at most 5%) and "indeterminate" otherwise.
+alpha and m'(alpha) come from the model's closed forms.  The report's
+moments and support class are expectations under the model's
+deterministic rule (model._expectation_rule, whose accuracy the model
+module states); a moment is flagged "pass" when finite and
+"indeterminate", with the value null, when it overflows.
+find_alpha(method="monte_carlo") averages over one table of weight
+draws reused across all s, so its curve is a smooth convex function of
+s and bisection on it is well posed.
 """
 
 from __future__ import annotations
@@ -28,15 +28,13 @@ import numpy as np
 
 from . import popdyn
 from .model import fingerprint
-from .rng import DOMAIN_ANALYSIS, as_generator, philox
+from .rng import DOMAIN_ANALYSIS, as_generator
 
 DENSITY_ALPHA_RANGE = (1.0, 2.0)  # absolute-continuity results need alpha in (1, 2]
 
 _S_MAX = 10.0  # alpha is the smallest root of m(s) = 1 in (0, _S_MAX]
 _TOL = 1e-9  # bisection bracket width for alpha
 _EPS = 0.1  # the epsilon in E[|Z_1|^alpha log_+^{2+eps} |Z_1|]
-_STABLE_REL = 0.05  # max relative change over the last sample doubling
-_SUPPORT_DRAWS = 10_000
 _Z_POOL_SIZE = 2_000
 _Z_GENERATIONS = 10
 _Z_IM_THRESHOLD = 1e-6
@@ -52,18 +50,6 @@ class SubcriticalMeanError(ValueError):
         self.m0 = m0
 
 
-class EstimateOverflowError(ArithmeticError):
-    """A Monte Carlo moment overflowed; the estimate is indeterminate."""
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    value: float
-    stderr: float
-    n_samples: int
-    method: str  # always "monte_carlo"; the report schema keeps the field
-
-
 @dataclass(frozen=True)
 class AlphaResult:
     alpha: float | None
@@ -74,13 +60,9 @@ class AlphaResult:
 
 
 class _DrawTable:
-    """One batch of weight draws, reusable across every s-dependent statistic."""
+    """Weight vectors as rows, laid out as draw_batch returns them, reused across every s."""
 
-    def __init__(self, model, n: int, rng: np.random.Generator):
-        if n < 2:
-            raise ValueError(f"Monte Carlo estimates need at least 2 draws, got {n}")
-        values, counts = model.draw_batch(rng, n)
-        self.n = n
+    def __init__(self, values: np.ndarray, counts: np.ndarray):
         self.values = values
         self.counts = counts
         self.offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
@@ -97,19 +79,6 @@ class _DrawTable:
     def m_hat_prime(self, s: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             return self.seg_sum(np.exp(s * self.log_abs) * self.log_abs)
-
-
-def _mean_with_se(per_draw: np.ndarray, what: str) -> MomentEstimate:
-    if not np.isfinite(per_draw).all():
-        bad = int(np.flatnonzero(~np.isfinite(per_draw))[0])
-        raise EstimateOverflowError(
-            f"{what}: non-finite contribution at draw {bad}; "
-            "the moment is indeterminate at this order"
-        )
-    n = per_draw.shape[0]
-    mean = float(per_draw.mean())
-    se = float(per_draw.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MomentEstimate(mean, se, n, "monte_carlo")
 
 
 def _scan_grid() -> np.ndarray:
@@ -136,7 +105,10 @@ def find_alpha(model, n: int = 100_000, rng=None, method: str = "closed_form") -
         m_of = model.m_closed_form
         m0 = float(m_of(0.0))
     elif method == "monte_carlo":
-        table = _DrawTable(model, n, as_generator(rng, DOMAIN_ANALYSIS, 0))
+        rng = as_generator(rng, DOMAIN_ANALYSIS, 0)
+        if n < 2:
+            raise ValueError(f"Monte Carlo estimates need at least 2 draws, got {n}")
+        table = _DrawTable(*model.draw_batch(rng, n))
         m0 = float(table.counts.mean())
 
         def m_of(s: float) -> float:
@@ -174,7 +146,7 @@ def find_alpha(model, n: int = 100_000, rng=None, method: str = "closed_form") -
     if table is not None:
         # delta method: se(alpha) ~= se(m_hat(alpha)) / |m_hat'(alpha)|
         per_draw = table.m_hat(alpha)
-        se_m = float(per_draw.std(ddof=1) / math.sqrt(table.n))
+        se_m = float(per_draw.std(ddof=1) / math.sqrt(n))
         slope = float(table.m_hat_prime(alpha).mean())
         stderr = se_m / abs(slope) if slope != 0.0 else math.inf
     return AlphaResult(alpha, stderr, multiple, method, m0)
@@ -188,23 +160,15 @@ class AssumptionReport:
     alpha_in_density_range: bool
     multiple_roots: bool
     m_prime_alpha: float | None
-    w1_loglog: MomentEstimate | None
-    a4_moment: MomentEstimate | None
-    c1_n2: MomentEstimate | None
-    c1_cross: MomentEstimate | None
+    w1_loglog: float | None
+    a4_moment: float | None
+    c1_n2: float | None
+    c1_cross: float | None
     support_class: str
     z_im_dispersion: float
     flags: dict
     model_fingerprint: str
     seed: int
-    n_samples: int
-
-
-def _stable(est: MomentEstimate, est_half: MomentEstimate) -> bool:
-    a, b = est.value, est_half.value
-    if a == b:
-        return True
-    return abs(a - b) <= _STABLE_REL * max(abs(a), 1e-300)
 
 
 def _support_class(values: np.ndarray) -> str:
@@ -213,25 +177,21 @@ def _support_class(values: np.ndarray) -> str:
     return "complex"
 
 
-def check_assumptions(model, n_samples: int = 100_000, seed: int = 0) -> AssumptionReport:
+def check_assumptions(model, *, seed: int = 0) -> AssumptionReport:
     """Evaluate A1-A4, C1, and the fixed-point support probe for a model.
 
-    All randomness is keyed off seed; the report is a deterministic
-    function of (model, n_samples, seed).
+    The moments are expectations under the model's deterministic rule;
+    only the Z1 probe draws, keyed off seed, so the report is a
+    deterministic function of (model, seed).
     """
     flags: dict[str, str] = {}
-    table = _DrawTable(model, n_samples, philox(seed, DOMAIN_ANALYSIS, 2))
-    half = slice(0, n_samples // 2)
+    probs, values, counts = model._expectation_rule()
+    table = _DrawTable(values, counts)
 
-    def estimate(per_draw: np.ndarray, what: str):
-        """(estimate, flag) with the stabilization heuristic; overflow -> indeterminate."""
-        try:
-            full = _mean_with_se(per_draw, what)
-            part = _mean_with_se(per_draw[half], what)
-        except EstimateOverflowError:
-            return None, "indeterminate"
-        ok = _stable(full, part)
-        return full, ("pass" if ok else "indeterminate")
+    def expect(per_row: np.ndarray):
+        """(moment, flag): "pass" when finite; an overflow gives (None, "indeterminate")."""
+        value = float(probs @ per_row)
+        return (value, "pass") if math.isfinite(value) else (None, "indeterminate")
 
     # A1 / A2: supercriticality and the exponent
     alpha_res: AlphaResult | None = None
@@ -251,21 +211,21 @@ def check_assumptions(model, n_samples: int = 100_000, seed: int = 0) -> Assumpt
 
         # A3: negative drift and E[W_1 log_+ W_1] < inf, W_1 = sum |T_j|^alpha
         w1 = table.m_hat(alpha)
-        w1_est, w1_flag = estimate(w1 * np.log(np.maximum(w1, 1.0)), "W1 log+ W1")
+        w1_est, w1_flag = expect(w1 * np.log(np.maximum(w1, 1.0)))
         if not m_prime_alpha < 0.0:
             flags["A3"] = "fail"
         else:
             flags["A3"] = w1_flag
 
         # A4: m'(alpha) <= 0 and E[|Z_1|^alpha log_+^{2+eps} |Z_1|] < inf
-        z1_abs = np.abs(table.seg_sum(table.values))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            z1_abs = np.abs(table.seg_sum(table.values))
             a4_stat = np.where(
                 z1_abs > 0.0,
                 z1_abs**alpha * np.log(np.maximum(z1_abs, 1.0)) ** (2.0 + _EPS),
                 0.0,
             )
-        a4_est, a4_flag = estimate(a4_stat, "|Z1|^alpha log moment")
+        a4_est, a4_flag = expect(a4_stat)
         if m_prime_alpha > 0.0:
             flags["A4"] = "fail"
         else:
@@ -276,15 +236,12 @@ def check_assumptions(model, n_samples: int = 100_000, seed: int = 0) -> Assumpt
 
     # C1: E[N^2] < inf and E[N sum_j log_+ |T_j|] < inf
     nvec = table.counts.astype(np.float64)
-    n2_est, n2_flag = estimate(nvec**2, "N^2")
+    n2_est, n2_flag = expect(nvec**2)
     cross = nvec * table.seg_sum(np.maximum(table.log_abs, 0.0))
-    cross_est, cross_flag = estimate(cross, "N sum log+ |T|")
-    order = {"pass": 0, "indeterminate": 1, "fail": 2}
-    flags["C1"] = max(n2_flag, cross_flag, key=order.__getitem__)
+    cross_est, cross_flag = expect(cross)
+    flags["C1"] = "pass" if n2_flag == cross_flag == "pass" else "indeterminate"
 
-    # weight support class from the first draws of the table
-    k = min(_SUPPORT_DRAWS, n_samples)
-    support = _support_class(table.values[: int(table.offsets[k - 1] + table.counts[k - 1])])
+    support = _support_class(table.values)
 
     # Z1: the fixed point should not concentrate on the real line
     z_seed = int(np.random.SeedSequence(seed, spawn_key=(DOMAIN_ANALYSIS, 99)).generate_state(1, np.uint64)[0])
@@ -309,5 +266,4 @@ def check_assumptions(model, n_samples: int = 100_000, seed: int = 0) -> Assumpt
         flags=flags,
         model_fingerprint=fingerprint(model),
         seed=seed,
-        n_samples=n_samples,
     )

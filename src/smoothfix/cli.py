@@ -77,9 +77,16 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _out_path(text: str) -> str:
+    # checked at parse time, so a missing directory fails before any work
+    if not Path(text).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"no such directory: {Path(text).parent}")
+    return text
+
+
 def _cmd_analyze(args) -> int:
     model = _load_model(args.model)
-    report = check_assumptions(model, args.samples, args.seed)
+    report = check_assumptions(model, seed=args.seed)
     out = io.write_json(args.out, dataclasses.asdict(report))
     io.write_manifest(out, args.argv, args.seed, fingerprint(model), outputs=[out])
     alpha = "none" if report.alpha is None else f"{report.alpha:.6f}"
@@ -228,8 +235,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", parents=[seeded],
                        help="check model assumptions and locate the exponent")
     p.add_argument("--model", required=True, help="model config JSON path")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--out", default="report.json")
+    p.add_argument("--out", type=_out_path, default="report.json")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("sample", parents=[seeded],
@@ -237,7 +243,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--pool-size", type=int, default=10_000)
     p.add_argument("--iterations", type=int, default=50)
-    p.add_argument("--out", default="pool.csv")
+    p.add_argument("--out", type=_out_path, default="pool.csv")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("martingale", parents=[seeded],
@@ -247,7 +253,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--node-budget", type=int, default=10_000_000)
-    p.add_argument("--out", default="martingale.csv")
+    p.add_argument("--out", type=_out_path, default="martingale.csv")
     p.set_defaults(func=_cmd_martingale)
 
     p = sub.add_parser("ecf", parents=[common],
@@ -257,7 +263,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--angles", type=int, default=64)
     p.add_argument("--order", type=int, choices=(0, 1, 2), default=0,
                    help="0: ECF, 1: first conj-derivative, 2: second")
-    p.add_argument("--out", default="scan.csv")
+    p.add_argument("--out", type=_out_path, default="scan.csv")
     p.set_defaults(func=_cmd_ecf)
 
     p = sub.add_parser("density", parents=[common],
@@ -265,7 +271,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--pool", required=True)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--bandwidth", default=None, help="hx,hy (default: Silverman)")
-    p.add_argument("--out", default="density.csv")
+    p.add_argument("--out", type=_out_path, default="density.csv")
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("figures", parents=[seeded],
@@ -299,6 +305,9 @@ def main(argv=None) -> int:
         return 1
     except (ArithmeticError, RuntimeError, OSError) as exc:
         print(f"smoothfix: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"smoothfix: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

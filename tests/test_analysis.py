@@ -7,20 +7,19 @@ import math
 import numpy as np
 import pytest
 
-from smoothfix import BigginsBinary, CyclicPolya, Tabular
+from smoothfix import BigginsBinary, CyclicPolya, Tabular, model_from_config
 from smoothfix.analysis import (
-    EstimateOverflowError,
     SubcriticalMeanError,
     _DrawTable,
-    _mean_with_se,
     check_assumptions,
     find_alpha,
 )
+from smoothfix.model import _tanh_sinh_uniforms
 from smoothfix.rng import DOMAIN_ANALYSIS, philox
 
 
 def _table(model, n, seed):
-    return _DrawTable(model, n, philox(seed, DOMAIN_ANALYSIS, 0))
+    return _DrawTable(*model.draw_batch(philox(seed, DOMAIN_ANALYSIS, 0), n))
 
 
 def test_estimate_m_closed_form_fields():
@@ -30,17 +29,18 @@ def test_estimate_m_closed_form_fields():
 
 
 def test_estimate_m_monte_carlo_agrees_with_closed_form():
-    est = _mean_with_se(_table(BigginsBinary(1.0), 200_000, 3).m_hat(2.0), "m(2.0)")
-    assert est.method == "monte_carlo"
-    assert est.n_samples == 200_000
-    assert est.stderr > 0
-    assert abs(est.value - 0.790012829192987) < 4 * est.stderr
+    per_draw = _table(BigginsBinary(1.0), 200_000, 3).m_hat(2.0)
+    assert per_draw.shape == (200_000,)
+    mean, se = per_draw.mean(), per_draw.std(ddof=1) / math.sqrt(per_draw.shape[0])
+    assert se > 0
+    assert abs(mean - 0.790012829192987) < 4 * se
 
 
 def test_estimate_m_monte_carlo_tabular_matches_exact():
     model = Tabular([(0.5, (1.2,)), (0.5, (0.4, 0.4))])
-    est = _mean_with_se(_table(model, 100_000, 9).m_hat(1.7), "m(1.7)")
-    assert abs(est.value - model.m_closed_form(1.7)) < 4 * est.stderr
+    per_draw = _table(model, 100_000, 9).m_hat(1.7)
+    mean, se = per_draw.mean(), per_draw.std(ddof=1) / math.sqrt(per_draw.shape[0])
+    assert abs(mean - model.m_closed_form(1.7)) < 4 * se
 
 
 def test_estimate_m_requires_rng_for_monte_carlo():
@@ -49,16 +49,22 @@ def test_estimate_m_requires_rng_for_monte_carlo():
 
 
 def test_estimate_m_overflow_reported():
-    model = Tabular([(1.0, (1e200,))])
-    with pytest.raises(EstimateOverflowError, match="indeterminate"):
-        _mean_with_se(_table(model, 1000, 0).m_hat(3.0), "m(3.0)")
+    # |Z_1| = 2e308 overflows on the rare atom: its moment is reported
+    # indeterminate, with no value, while W_1 = 2e154 there stays finite
+    model = Tabular([(1e-200, (1e308, 1e308)), (1.0, (0.25, 0.25))])
+    rep = check_assumptions(model, seed=0)
+    assert rep.alpha == pytest.approx(0.5, abs=1e-6)
+    assert rep.flags["A3"] == "pass" and rep.w1_loglog is not None
+    assert rep.flags["A4"] == "indeterminate"
+    assert rep.a4_moment is None
 
 
 def test_m_derivative_closed_and_monte_carlo():
     model = BigginsBinary(1.0)
     assert model.m_prime_closed_form(1.0) == pytest.approx(-0.36533385508720756, abs=1e-12)
-    est = _mean_with_se(_table(model, 200_000, 4).m_hat_prime(1.0), "m'(1.0)")
-    assert abs(est.value - (-0.36533385508720756)) < 4 * est.stderr
+    per_draw = _table(model, 200_000, 4).m_hat_prime(1.0)
+    mean, se = per_draw.mean(), per_draw.std(ddof=1) / math.sqrt(per_draw.shape[0])
+    assert abs(mean - (-0.36533385508720756)) < 4 * se
 
 
 def test_find_alpha_closed_form_polya():
@@ -108,7 +114,7 @@ def test_find_alpha_multiple_roots_flagged():
 
 
 def test_check_assumptions_polya8():
-    rep = check_assumptions(CyclicPolya(8), n_samples=20_000, seed=7)
+    rep = check_assumptions(CyclicPolya(8), seed=7)
     assert rep.alpha == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert rep.alpha_in_density_range
     assert not rep.multiple_roots
@@ -118,18 +124,18 @@ def test_check_assumptions_polya8():
     }
     assert rep.support_class == "complex"
     assert rep.z_im_dispersion > 0.01
-    assert rep.c1_n2.value == 4.0  # N = 2 always
-    assert rep.c1_cross.value == 0.0  # |T_j| <= 1 for the Polya family
+    assert rep.c1_n2 == 4.0  # N = 2 always
+    assert rep.c1_cross == 0.0  # |T_j| <= 1 for the Polya family
 
 
 def test_check_assumptions_alpha_out_of_density_range():
-    rep = check_assumptions(CyclicPolya(5), n_samples=5_000, seed=3)
+    rep = check_assumptions(CyclicPolya(5), seed=3)
     assert rep.alpha == pytest.approx(1.0 / math.cos(2 * math.pi / 5), abs=1e-9)
     assert not rep.alpha_in_density_range
 
 
 def test_check_assumptions_subcritical_model_still_reports():
-    rep = check_assumptions(Tabular([(1.0, (1.0,))]), n_samples=2_000, seed=5)
+    rep = check_assumptions(Tabular([(1.0, (1.0,))]), seed=5)
     assert rep.m0 == 1.0
     assert rep.alpha is None
     assert rep.m_prime_alpha is None
@@ -141,20 +147,19 @@ def test_check_assumptions_subcritical_model_still_reports():
 
 
 def test_check_assumptions_deterministic_and_json_roundtrip():
-    rep1 = check_assumptions(CyclicPolya(8), n_samples=5_000, seed=42)
-    rep2 = check_assumptions(CyclicPolya(8), n_samples=5_000, seed=42)
+    rep1 = check_assumptions(CyclicPolya(8), seed=42)
+    rep2 = check_assumptions(CyclicPolya(8), seed=42)
     text = json.dumps(dataclasses.asdict(rep1), sort_keys=True)
     assert text == json.dumps(dataclasses.asdict(rep2), sort_keys=True)
     doc = json.loads(text)
     assert doc == dataclasses.asdict(rep1)
     assert doc["model_fingerprint"] == rep1.model_fingerprint
-    assert doc["c1_n2"] == {"value": 4.0, "stderr": 0.0, "n_samples": 5_000,
-                            "method": "monte_carlo"}
+    assert doc["c1_n2"] == 4.0
 
 
 def test_real_weight_model_support_and_z_flag():
     model = Tabular([(0.5, (1.2,)), (0.5, (0.4, 0.4))])
-    rep = check_assumptions(model, n_samples=5_000, seed=1)
+    rep = check_assumptions(model, seed=1)
     assert rep.support_class == "positive_real"
     assert rep.flags["Z1"] == "fail"  # fixed point is real: no imaginary dispersion
     assert rep.z_im_dispersion == 0.0
@@ -164,9 +169,98 @@ def test_monte_carlo_estimates_need_two_draws():
     model = BigginsBinary(1.0)
     for n in (0, 1):
         with pytest.raises(ValueError, match="at least 2 draws"):
-            _table(model, n, 0)
-        with pytest.raises(ValueError, match="at least 2 draws"):
             find_alpha(model, n=n, rng=0, method="monte_carlo")
-        with pytest.raises(ValueError, match="at least 2 draws"):
-            check_assumptions(model, n_samples=n, seed=0)
-    assert check_assumptions(model, n_samples=2, seed=0).n_samples == 2
+
+
+# The deterministic expectation rule behind the report's moments
+
+_EXPECTATION_MODELS = [
+    BigginsBinary(complex(0.7071, 0.7071)),
+    CyclicPolya(8),
+    Tabular([(0.5, (0.9,)), (0.5, (0.25, 0.25, 0.25, 0.25, 0.1))]),
+]
+
+
+def _row_statistics(table, alpha):
+    """Per row: sum_j |T_j|^s at s = 0.5 and 2, and the report's A4 statistic."""
+    z1_abs = np.abs(table.seg_sum(table.values))
+    a4 = z1_abs**alpha * np.log(np.maximum(z1_abs, 1.0)) ** 2.1
+    return [table.m_hat(0.5), table.m_hat(2.0), a4]
+
+
+@pytest.mark.parametrize("model", _EXPECTATION_MODELS, ids=repr)
+def test_expectation_rule_matches_draw_batch_means(model):
+    alpha = find_alpha(model).alpha
+    probs, values, counts = model._expectation_rule()
+    exact = [probs @ stat for stat in _row_statistics(_DrawTable(values, counts), alpha)]
+    draws = _row_statistics(_table(model, 100_000, 13), alpha)
+    for want, per_draw in zip(exact, draws):
+        se = per_draw.std(ddof=1) / math.sqrt(per_draw.shape[0])
+        assert se > 0
+        assert abs(per_draw.mean() - want) < 5 * se
+
+
+def _a4_moment(model, probs, values, counts):
+    alpha = find_alpha(model).alpha
+    return probs @ _row_statistics(_DrawTable(values, counts), alpha)[2]
+
+
+@pytest.mark.parametrize("b", [5, 7, 8, 9, 12])
+def test_polya_expectation_rule_accuracy(b):
+    model = CyclicPolya(b)
+    probs, values, counts = model._expectation_rule()
+    assert counts.tolist() == [2] * probs.shape[0]
+    t1, t2 = np.abs(values[0::2]), np.abs(values[1::2])
+    assert abs(probs.sum() - 1.0) < 1e-14
+    assert abs(probs @ (t1**2 + t2**2) - model.m_closed_form(2.0)) < 1e-14
+    # |T_1| = U^c and |T_2| = (1 - U)^c with c = cos(2 pi / b)
+    c = math.cos(2.0 * math.pi / b)
+    for a, d in ((0.5, 0.5), (2.0, 3.0), (0.1, 0.7), (1.3, 0.0)):
+        beta = math.gamma(a + 1.0) * math.gamma(d + 1.0) / math.gamma(a + d + 2.0)
+        assert abs(probs @ (t1 ** (a / c) * t2 ** (d / c)) - beta) < 1e-14
+    # A4's log_+ has a kink at |Z_1| = 1: the slowest statistic to converge
+    fine_probs, u = _tanh_sinh_uniforms(1.0 / 512.0)
+    fine = _a4_moment(model, fine_probs, *model.weights_from_uniforms(u[:, None]))
+    assert abs(_a4_moment(model, probs, values, counts) / fine - 1.0) < 1e-5
+
+
+def test_tabular_expectation_rule_is_its_atoms():
+    # a midpoint uniform in the 1e-17 atom's interval selects the next atom,
+    # so the rule must take the atoms themselves
+    model = Tabular([(0.5, (0.3,)), (1e-17, (2.0, 0.5j)), (0.5, (0.4, 0.4))])
+    midpoints = np.cumsum(model._probs) - 0.5 * model._probs
+    assert model._atoms_from_uniforms(midpoints[:, None]).tolist() == [0, 2, 2]
+    probs, values, counts = model._expectation_rule()
+    assert probs.tolist() == [0.5, 1e-17, 0.5]
+    assert values.tolist() == [0.3, 2.0, 0.5j, 0.4, 0.4]
+    assert counts.tolist() == [1, 2, 2]
+    # the support class reads every atom, however rare
+    assert check_assumptions(model, seed=0).support_class == "complex"
+
+
+# alpha, flags and support class of the README's four configs, as the Monte
+# Carlo report gave them at seed 1
+_README_REPORTS = [
+    ({"type": "biggins", "lambda": {"re": 0.7071, "im": 0.7071}},
+     1.5885453386902666, "pass", "complex"),
+    ({"type": "biggins", "lambda": {"modulus": 2.15, "arg": 0.2732}},
+     1.178096986712202, "pass", "complex"),
+    ({"type": "polya", "b": 8}, 1.414213561935845, "pass", "complex"),
+    ({"type": "tabular", "atoms": [[0.5, [0.9]], [0.5, [0.25, 0.25, 0.25, 0.25, 0.1]]]},
+     0.9999999996908173, "fail", "positive_real"),
+]
+
+
+@pytest.mark.parametrize("config, alpha, z1, support", _README_REPORTS,
+                         ids=lambda v: v["type"] if isinstance(v, dict) else None)
+def test_readme_configs_keep_their_report(config, alpha, z1, support):
+    rep = check_assumptions(model_from_config({"model": config}), seed=1)
+    assert rep.alpha == pytest.approx(alpha, rel=1e-12)
+    assert rep.flags == {"A1": "pass", "A2": "pass", "A3": "pass", "A4": "pass",
+                         "C1": "pass", "Z1": z1}
+    assert rep.support_class == support
+
+
+def test_check_assumptions_seed_is_keyword_only():
+    with pytest.raises(TypeError):
+        check_assumptions(CyclicPolya(8), 5)

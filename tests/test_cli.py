@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothfix import CyclicPolya, fourier, io, popdyn
+from smoothfix import CyclicPolya, cli, fourier, io, popdyn
 from smoothfix.analysis import check_assumptions
 from smoothfix.cli import main
 from smoothfix.popdyn import SamplePool
@@ -106,8 +106,7 @@ def test_unknown_model_type(capsys, tmp_path):
 
 def test_analyze_writes_report_and_manifest(capsys, tmp_path, polya_cfg):
     out = tmp_path / "report.json"
-    argv = ["analyze", "--model", polya_cfg, "--seed", "5",
-            "--samples", "2000", "--out", str(out)]
+    argv = ["analyze", "--model", polya_cfg, "--seed", "5", "--out", str(out)]
     assert main(argv) == 0
     report = json.loads(out.read_text())
     assert report["flags"]["A2"] == "pass"
@@ -117,20 +116,53 @@ def test_analyze_writes_report_and_manifest(capsys, tmp_path, polya_cfg):
     assert manifest["model_fingerprint"]
     assert manifest["version"]
     # the CLI writes exactly the library report
-    rep = check_assumptions(CyclicPolya(8), 2000, 5)
+    rep = check_assumptions(CyclicPolya(8), seed=5)
     assert out.read_text() == json.dumps(dataclasses.asdict(rep), sort_keys=True, indent=2) + "\n"
 
 
-def test_analyze_rejects_fewer_than_two_samples(capsys, tmp_path, polya_cfg):
-    for samples in ("0", "1"):
+def test_analyze_has_no_samples_option(capsys, tmp_path, polya_cfg):
+    # the report's moments are exact: there is no sample count to set
+    for samples in ("0", "1", "2000"):
         out = tmp_path / f"report{samples}.json"
         argv = ["analyze", "--model", polya_cfg, "--seed", "5",
                 "--samples", samples, "--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("smoothfix: ") and "at least 2 draws" in err
-        assert "Traceback" not in err
+        assert err == f"smoothfix: unrecognized arguments: --samples {samples}\n"
         assert not out.exists()
+
+
+def test_out_in_missing_directory_fails_before_any_work(tmp_path, capsys, monkeypatch, polya_cfg):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("_load_model", "_load_pool", "check_assumptions", "estimate_martingale_mean",
+                 "polar_grid", "kde2d"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(popdyn, "run", never)
+    pool_path = _write_gaussian_pool(tmp_path)
+    out = tmp_path / "missing" / "out.csv"
+    for argv in (["analyze", "--model", polya_cfg, "--seed", "1"],
+                 ["sample", "--model", polya_cfg, "--seed", "1"],
+                 ["martingale", "--model", polya_cfg, "--seed", "1"],
+                 ["ecf", "--pool", pool_path],
+                 ["density", "--pool", pool_path]):
+        assert main(argv + ["--out", str(out)]) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err == f"smoothfix: argument --out: no such directory: {out.parent}\n", argv[0]
+    assert not out.parent.exists()
+
+
+def test_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch, polya_cfg):
+    def run(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(popdyn, "run", run)
+    out = tmp_path / "pool.csv"
+    assert main(["sample", "--model", polya_cfg, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "smoothfix: out of memory: Unable to allocate 149. GiB for an array\n"
+    assert not out.exists()
 
 
 def test_sample_rerun_is_byte_identical(tmp_path, polya_cfg, capsys):
@@ -393,8 +425,8 @@ def test_threads_flag_does_not_change_outputs(tmp_path, polya_cfg, capsys):
     pool_path = _write_gaussian_pool(tmp_path)
     d = tmp_path
     runs = [
-        (["analyze", "--model", polya_cfg, "--seed", "4", "--samples", "2000",
-          "--out", str(d / "report.json")], [d / "report.json"]),
+        (["analyze", "--model", polya_cfg, "--seed", "4", "--out", str(d / "report.json")],
+         [d / "report.json"]),
         (["sample", "--model", polya_cfg, "--seed", "4", "--pool-size", "500",
           "--iterations", "5", "--out", str(d / "pool.csv")],
          [d / "pool.csv", d / "pool.meta.json"]),
