@@ -86,13 +86,12 @@ Mureika 1977) with the n / (n - 1) correction; one sample has stderr 0.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .popdyn import _sample_array
+from .popdyn import _sample_array, _workers
 from .rng import DOMAIN_FOURIER, as_generator
 
 # Samples reduced at a time.  It fixes the summation order of every
@@ -153,13 +152,6 @@ def _prefactor(z: np.ndarray, order: int, which: str = "d_xibar") -> np.ndarray 
     if order == 2:
         return -0.25 * w * w
     raise ValueError(f"order must be 0, 1, or 2, got {order}")
-
-
-def _workers() -> int:
-    """Worker threads: the cores in this process's affinity mask."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,

@@ -279,14 +279,14 @@ class Tabular(_WeightModel):
         log_abs = np.log(np.abs(self._flat))
         with np.errstate(over="ignore"):
             powers = np.exp(s * log_abs)
-        per_atom = np.add.reduceat(powers, self._offsets)
+            per_atom = np.add.reduceat(powers, self._offsets)  # finite powers may sum past max
         return float(self._probs @ per_atom)
 
     def m_prime_closed_form(self, s: float) -> float:
         log_abs = np.log(np.abs(self._flat))
         with np.errstate(over="ignore", invalid="ignore"):
             terms = np.exp(s * log_abs) * log_abs
-        per_atom = np.add.reduceat(terms, self._offsets)
+            per_atom = np.add.reduceat(terms, self._offsets)
         return float(self._probs @ per_atom)
 
     def config(self) -> dict:

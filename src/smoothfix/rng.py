@@ -4,7 +4,7 @@ All randomness in the package flows through numpy's Philox counter-based
 generator, keyed by a user seed plus a fixed domain tag per consumer.  In
 a table of uniforms drawn `width` per row, width a multiple of BLOCK, row
 i alone is recomputable after Philox.advance(i * width // BLOCK), as
-tests/test_popdyn.py shows; the package has no API for slicing rows.
+tests/test_popdyn.py shows; popdyn draws each block of rows that way.
 """
 
 from __future__ import annotations

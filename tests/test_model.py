@@ -17,6 +17,7 @@ from smoothfix import (
     model_from_config,
     model_to_config,
 )
+from smoothfix.analysis import find_alpha
 from smoothfix.rng import philox
 
 
@@ -189,6 +190,14 @@ def test_tabular_m_closed_form_exact():
     assert model.m_closed_form(2.0) == pytest.approx(expected, abs=1e-13)
     expected_prime = 0.5 * 1.2 * math.log(1.2) + 0.5 * 2 * 0.4 * math.log(0.4)
     assert model.m_prime_closed_form(1.0) == pytest.approx(expected_prime, abs=1e-13)
+
+
+def test_tabular_m_overflowing_row_sum_is_inf_without_warning():
+    # each power is finite, their sum within the first atom is not; warnings are errors here
+    model = Tabular([(1e-3, (1e308, 1e308)), (1 - 1e-3, (1e-300, 1e-300))])
+    assert model.m_closed_form(1.0) == math.inf
+    assert model.m_prime_closed_form(1.0) == math.inf
+    assert find_alpha(model).m0 == 2.0
 
 
 def test_draw_batch_deterministic_and_matches_uniform_path():
