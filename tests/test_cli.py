@@ -236,6 +236,49 @@ def test_ecf_scan_csv_and_thread_invariance(tmp_path, monkeypatch, capsys):
         assert ("slope" in manifest) == (order == "1")
 
 
+def test_files_are_identical_for_every_worker_count(tmp_path, monkeypatch, capsys):
+    # more workers than cores (_workers is stubbed) and frequent thread
+    # switches; 40001 samples are two population-dynamics blocks and 40
+    # CSV blocks, the last partial, and a 90-cell grid leaves a partial
+    # block of grid rows
+    (tmp_path / "polya8.json").write_text(json.dumps({"model": {"type": "polya", "b": 8}}))
+    (tmp_path / "tabular.json").write_text(json.dumps({"model": DESK_CONFIGS["tabular"]}))
+    runs = [
+        ["sample", "--model", "../polya8.json", "--seed", "2", "--pool-size", "40001",
+         "--iterations", "3", "--out", "pool.csv"],
+        ["density", "--pool", "pool.csv", "--grid", "90", "--out", "grid.csv"],
+        ["ecf", "--pool", "pool.csv", "--radii", "1,2,3,5", "--angles", "100",
+         "--out", "scan.csv"],
+        ["martingale", "--model", "../polya8.json", "--seed", "2", "--depth", "8",
+         "--reps", "2000", "--out", "mart.csv"],
+        ["sample", "--model", "../tabular.json", "--seed", "2", "--pool-size", "3001",
+         "--iterations", "3", "--out", "line_pool.csv"],
+        ["density", "--pool", "line_pool.csv", "--grid", "90", "--out", "line.csv"],
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(popdyn, "_workers", lambda: workers)
+            monkeypatch.setattr(fourier, "_workers", lambda: workers)
+            (tmp_path / str(workers)).mkdir()
+            monkeypatch.chdir(tmp_path / str(workers))
+            for argv in runs:
+                assert main(argv) == 0, argv
+    finally:
+        sys.setswitchinterval(interval)
+    files = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert {"pool.csv", "pool.meta.json", "pool.samples.npy", "grid.csv", "line.csv",
+            "scan.csv", "mart.csv"} <= set(files)
+    assert (tmp_path / "1" / "grid.csv").read_text().startswith("x,y,value\n")
+    assert (tmp_path / "1" / "line.csv").read_text().startswith("x,value\n")
+    for workers in (2, 3, 5):
+        assert sorted(p.name for p in (tmp_path / str(workers)).iterdir()) == files
+        for name in files:
+            assert (tmp_path / str(workers) / name).read_bytes() == \
+                (tmp_path / "1" / name).read_bytes(), (workers, name)
+
+
 def test_ecf_unordered_radii_match_per_radius_scans(tmp_path, capsys):
     # each radius's rows are those of an increasing scan, whatever the order
     pool_path = _write_gaussian_pool(tmp_path)

@@ -3,6 +3,7 @@ reads through the .samples.npy sidecar against the CSV parse."""
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,82 @@ def test_martingale_csv_matches_savetxt(tmp_path):
     expected = _savetxt_bytes(tmp_path, header,
                               (depths, w, se_w, mean_z.real, mean_z.imag, se_z, nodes))
     assert path.read_bytes() == expected
+
+
+# -- the %.17g kernel against Python's % ---------------------------------------
+
+def _assert_formats_like_percent(tmp_path, values):
+    """The one-column CSV of values holds b"%.17g" % v on each line, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        path = io._savetxt(tmp_path / "values.csv", "v", (values,))
+    expected = [b"%.17g" % v for v in values.tolist()]
+    if path.read_bytes() != b"v\n" + b"\n".join(expected) + b"\n":
+        got = path.read_bytes().split(b"\n")[1:-1]
+        bad = [i for i, (g, e) in enumerate(zip(got, expected)) if g != e]
+        pytest.fail(f"{len(got)} lines for {len(expected)} values; first differences "
+                    f"{[(values[i], got[i], expected[i]) for i in bad[:5]]}")
+
+
+def _neighbours(x):
+    """x with the next float on either side."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+# m / 2^18 for odd m: 18 significant digits, the last a 5, so 17 digits tie
+TIES = np.arange(26215, 262144, 2) / 2.0**18
+
+
+def test_kernel_matches_percent_on_a_million_values(tmp_path):
+    rng = np.random.default_rng(28)
+    patterns = rng.integers(0, 2**64 - 1, 800_000, dtype=np.uint64, endpoint=True)
+    subnormals = rng.integers(1, 2**52, 50_000, dtype=np.uint64)
+    powers = _neighbours(10.0 ** np.arange(-323, 309))
+    switches = [1e-5, 1e-4, 1e16, 1e17]  # where fixed notation turns scientific
+    for _ in range(4):
+        switches = _neighbours(switches)
+    values = np.concatenate([
+        patterns.view(np.float64),
+        subnormals.view(np.float64),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, np.finfo(float).max],
+        powers, -powers, switches, -switches,
+        [9.99999999999999999e-5, 9.99999999999999999e16, 0.99999999999999999],  # round up
+        rng.integers(0, 2**53, 50_000, endpoint=True).astype(np.float64), [2.0**53 - 1, 2.0**53],
+        TIES, -TIES,
+    ])
+    assert values.size >= 10**6
+    _assert_formats_like_percent(tmp_path, values)
+
+
+def test_kernel_formats_int64_columns_as_floats(tmp_path):
+    depths = np.concatenate([np.arange(1000), [2**53 - 1, 2**53, -(2**31)]]).astype(np.int64)
+    _assert_formats_like_percent(tmp_path, depths)
+
+
+def test_exact_ties_reach_the_fallback():
+    # D = round(x 10^(16-e)) is a tie on every row, which the error bound
+    # cannot decide, so each row's bytes come from Python's %
+    e = np.floor(np.log10(TIES)).astype(np.int64)
+    _, tie = io._round17(TIES.copy(), e)
+    assert tie.all()
+    _, tie = io._round17(np.nextafter(TIES, 1.0), e)
+    assert not tie.any()
+
+
+@pytest.mark.parametrize("x", [1e-14, 1e98, 1e-243, 1e-4, 0.1, 1.0, 1e16, 1e17,
+                               np.nextafter(1e16, 0), np.nextafter(1e-4, 1), 5e-324,
+                               np.finfo(float).max, 0.3])
+def test_exponents_off_by_one_are_settled(x):
+    # 1e-14, 1e98 and 1e-243 lie within 5e-18 below a power of ten, so one
+    # exponent too low their 17 digits round up to 10^17
+    mantissa, exponent = (b"%.16e" % x).split(b"e")
+    expected = (int(mantissa.replace(b".", b"")), int(exponent))
+    for guess in (expected[1] - 1, expected[1], expected[1] + 1):
+        a, e = np.array([x]), np.array([guess])
+        d, tie = io._round17(a, e)
+        io._settle(a, e, d, tie)
+        assert (int(d[0]), int(e[0]), bool(tie[0])) == (*expected, False), guess
 
 
 def test_pool_writer_memory_does_not_grow_with_the_pool(tmp_path):
