@@ -9,10 +9,11 @@ fixed point (Z1).  The report's thresholds are fixed: alpha is searched in
 (0, 10] and bisected to width 1e-9, A4 uses eps = 0.1, and Z1 passes when
 a 2000-sample, 10-generation pool has an imaginary-part spread above 1e-6.
 
-alpha and m'(alpha) come from the model's closed forms.  The report's
-moments and support class are expectations under the model's
-deterministic rule (model._expectation_rule, whose accuracy the model
-module states); a moment is flagged "pass" when finite and
+m and m', and so alpha and m'(alpha), are exact finite sums over the
+atoms of the model's expectation rule for biggins and tabular, and closed
+forms for polya, whose quadrature rule cannot see where m diverges.  The
+report's moments and support class are expectations under the same rule,
+model._rule_table; a moment is flagged "pass" when finite and
 "indeterminate", with the value null, when it overflows.
 find_alpha(method="monte_carlo") averages over one table of weight
 draws reused across all s, so its curve is a smooth convex function of
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import popdyn
-from .model import fingerprint
+from .model import _DrawTable, fingerprint
 from .rng import DOMAIN_ANALYSIS, as_generator
 
 DENSITY_ALPHA_RANGE = (1.0, 2.0)  # absolute-continuity results need alpha in (1, 2]
@@ -57,28 +58,6 @@ class AlphaResult:
     multiple_roots: bool
     method: str
     m0: float
-
-
-class _DrawTable:
-    """Weight vectors as rows, laid out as draw_batch returns them, reused across every s."""
-
-    def __init__(self, values: np.ndarray, counts: np.ndarray):
-        self.values = values
-        self.counts = counts
-        self.offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-        self.log_abs = np.log(np.abs(values))
-
-    def seg_sum(self, flat: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(flat, self.offsets)
-
-    def m_hat(self, s: float) -> np.ndarray:
-        """Per-draw sums sum_j |T_j|^s; may contain inf for huge s."""
-        with np.errstate(over="ignore"):
-            return self.seg_sum(np.exp(s * self.log_abs))
-
-    def m_hat_prime(self, s: float) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.seg_sum(np.exp(s * self.log_abs) * self.log_abs)
 
 
 def _scan_grid() -> np.ndarray:
@@ -185,8 +164,7 @@ def check_assumptions(model, *, seed: int = 0) -> AssumptionReport:
     deterministic function of (model, seed).
     """
     flags: dict[str, str] = {}
-    probs, values, counts = model._expectation_rule()
-    table = _DrawTable(values, counts)
+    probs, table = model._rule_table
 
     def expect(per_row: np.ndarray):
         """(moment, flag): "pass" when finite; an overflow gives (None, "indeterminate")."""

@@ -72,7 +72,8 @@ def _floats(text: str, flag: str) -> list[float]:
 
 
 def _seed(text: str) -> int:
-    if not text.isdecimal():  # numpy seeds only non-negative integers
+    # numpy seeds only non-negative integers; int() also reads non-ASCII digits
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
     return int(text)
 
@@ -226,8 +227,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"smoothfix {__version__}")
     common = _Parser(add_help=False)
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored; Fourier scans use "
-                             "every core of the CPU affinity mask")
+                        help="accepted for compatibility and ignored; Fourier scans and "
+                             "population dynamics use every core of the CPU affinity mask")
     seeded = _Parser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=_seed, required=True, help="seed for all randomness")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -25,7 +25,10 @@ uses the tanh-sinh rule in U (Takahasi & Mori 1974) with step 1/64 on
 |t| <= 4: at b = 5, 7, 8, 9 and 12 its 406 nodes inside (0, 1) give m(2)
 and the Beta moments E[U^a (1-U)^c] within 3e-16, and the report's A4
 statistic, which has a kink at |Z_1| = 1, within 1.1e-6 relative of step
-1/4096.
+1/4096.  m(s) = E sum_j |T_j|^s and m'(s) are the rule's finite sums,
+exact for BigginsBinary and Tabular.  CyclicPolya keeps closed forms: its
+E U^{sc}, c = cos(2 pi / b), diverges at s c <= -1, which no quadrature
+rule can see.
 
 BigginsBinary and Tabular map uniforms through tables.  Biggins takes
 each weight from the 2-entry table (T_-, T_+), indexed by u < 0.5.
@@ -43,6 +46,7 @@ child.
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -51,25 +55,11 @@ import sys
 
 import numpy as np
 
-_LN2 = math.log(2.0)
 _TINY_U = 2.0**-53  # smallest positive uniform; polya clamps u = 0 to it
 
 
 class ConfigError(ValueError):
     """Malformed model configuration document."""
-
-
-def _logcosh(x: float) -> float:
-    # ln cosh x without overflow: |x| + log1p(e^{-2|x|}) - ln 2
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax)) - _LN2
-
-
-def _exp_or_inf(log_value: float) -> float:
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
 
 
 def _tanh_sinh_uniforms(step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -81,6 +71,35 @@ def _tanh_sinh_uniforms(step: float) -> tuple[np.ndarray, np.ndarray]:
     probs = step * 0.25 * math.pi * np.cosh(t) / np.cosh(g) ** 2
     inside = (u > 0.0) & (u < 1.0)  # drop the nodes that round to 0 or 1
     return probs[inside], u[inside]
+
+
+class _DrawTable:
+    """A rule's or drawn weight vectors as rows, laid out as draw_batch returns them, for any s."""
+
+    def __init__(self, values: np.ndarray, counts: np.ndarray):
+        self.values = values
+        self.counts = counts
+        self.offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
+        self._zeros = np.flatnonzero(values == 0)
+        with np.errstate(divide="ignore"):
+            self.log_abs = np.log(np.abs(values))  # -inf at a zero weight
+
+    def seg_sum(self, flat: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(flat, self.offsets)
+
+    def m_hat(self, s: float) -> np.ndarray:
+        """Per-row sums sum_j |T_j|^s, with 0^0 = 1; may contain inf for huge s."""
+        with np.errstate(over="ignore", invalid="ignore"):  # finite powers may sum past max
+            powers = np.exp(s * self.log_abs)
+            powers[self._zeros] = s == 0.0  # s ln 0 is nan at s = 0
+            return self.seg_sum(powers)
+
+    def m_hat_prime(self, s: float) -> np.ndarray:
+        """Per-row sums sum_j |T_j|^s ln|T_j|, with 0^s ln 0 taken as 0."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.exp(s * self.log_abs) * self.log_abs
+            terms[self._zeros] = 0.0
+            return self.seg_sum(terms)
 
 
 class _WeightModel:
@@ -97,6 +116,22 @@ class _WeightModel:
     def _counts_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         # every row has max_children children unless a model says otherwise
         return np.full(np.shape(u)[0], self.max_children, dtype=np.int64)
+
+    @functools.cached_property
+    def _rule_table(self) -> tuple[np.ndarray, _DrawTable]:
+        """(probs, table): the expectation rule's weights and rows."""
+        probs, values, counts = self._expectation_rule()
+        return probs, _DrawTable(values, counts)
+
+    def m_closed_form(self, s: float) -> float:
+        """m(s) = E sum_j |T_j|^s under the expectation rule; inf when a row sum overflows."""
+        probs, table = self._rule_table
+        return float(probs @ table.m_hat(s))
+
+    def m_prime_closed_form(self, s: float) -> float:
+        """m'(s) = E sum_j |T_j|^s ln|T_j| under the expectation rule."""
+        probs, table = self._rule_table
+        return float(probs @ table.m_hat_prime(s))
 
 
 class BigginsBinary(_WeightModel):
@@ -121,7 +156,6 @@ class BigginsBinary(_WeightModel):
             raise ValueError(f"cosh(lambda) vanishes at lambda = {lam!r}")
         self.lam = lam
         self._table = np.array([t_minus, t_plus])  # indexed by u < 0.5
-        self._log_abs_cosh = math.log(abs(cmath.cosh(lam)))
 
     def __repr__(self) -> str:
         return f"BigginsBinary({self.lam!r})"
@@ -136,19 +170,6 @@ class BigginsBinary(_WeightModel):
         # the four sign pairs, each with probability 1/4
         u = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
         return (np.full(4, 0.25), *self.weights_from_uniforms(u))
-
-    def m_closed_form(self, s: float) -> float:
-        a = self.lam.real
-        log_m = (1.0 - s) * _LN2 + _logcosh(s * a) - s * self._log_abs_cosh
-        return _exp_or_inf(log_m)
-
-    def m_prime_closed_form(self, s: float) -> float:
-        a = self.lam.real
-        factor = a * math.tanh(s * a) - _LN2 - self._log_abs_cosh
-        m = self.m_closed_form(s)
-        if math.isinf(m):
-            return math.copysign(math.inf, factor) if factor != 0 else 0.0
-        return m * factor
 
     def config(self) -> dict:
         return {
@@ -190,15 +211,11 @@ class CyclicPolya(_WeightModel):
     def m_closed_form(self, s: float) -> float:
         # E|T_1|^s + E|T_2|^s = 2 E[U^{sc}] with c = cos(2 pi / b)
         den = 1.0 + s * self._c
-        if den <= 0.0:
-            return math.inf
-        return 2.0 / den
+        return 2.0 / den if den > 0.0 else math.inf
 
     def m_prime_closed_form(self, s: float) -> float:
         den = 1.0 + s * self._c
-        if den <= 0.0:
-            return math.inf
-        return -2.0 * self._c / (den * den)
+        return -2.0 * self._c / (den * den) if den > 0.0 else math.inf
 
     def config(self) -> dict:
         return {"type": "polya", "b": self.b}
@@ -274,20 +291,6 @@ class Tabular(_WeightModel):
 
     def _expectation_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._probs, self._flat, self._lens
-
-    def m_closed_form(self, s: float) -> float:
-        log_abs = np.log(np.abs(self._flat))
-        with np.errstate(over="ignore"):
-            powers = np.exp(s * log_abs)
-            per_atom = np.add.reduceat(powers, self._offsets)  # finite powers may sum past max
-        return float(self._probs @ per_atom)
-
-    def m_prime_closed_form(self, s: float) -> float:
-        log_abs = np.log(np.abs(self._flat))
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.exp(s * log_abs) * log_abs
-            per_atom = np.add.reduceat(terms, self._offsets)
-        return float(self._probs @ per_atom)
 
     def config(self) -> dict:
         return {

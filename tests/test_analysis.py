@@ -157,6 +157,18 @@ def test_check_assumptions_deterministic_and_json_roundtrip():
     assert doc["c1_n2"] == 4.0
 
 
+def test_zero_weight_in_the_rule_is_counted_without_warning():
+    # T_+ = e^-700 / (2 cosh 700) underflows to 0; warnings are errors here
+    model = BigginsBinary(700.0)
+    assert 0.0 in model._expectation_rule()[1]
+    rep = check_assumptions(model, seed=1)
+    assert rep.m0 == 2.0
+    doc = dataclasses.asdict(rep)
+    numbers = [v for v in doc.values() if isinstance(v, float)]
+    assert numbers and all(math.isfinite(v) for v in numbers)
+    assert json.loads(json.dumps(doc)) == doc
+
+
 def test_real_weight_model_support_and_z_flag():
     model = Tabular([(0.5, (1.2,)), (0.5, (0.4, 0.4))])
     rep = check_assumptions(model, seed=1)
@@ -249,6 +261,39 @@ _README_REPORTS = [
     ({"type": "tabular", "atoms": [[0.5, [0.9]], [0.5, [0.25, 0.25, 0.25, 0.25, 0.1]]]},
      0.9999999996908173, "fail", "positive_real"),
 ]
+
+
+# find_alpha's bits on the desk and figure configs, recorded with the closed
+# forms the expectation rule replaced
+_PINNED_ALPHAS = [
+    pytest.param({"type": "biggins", "lambda": {"re": 0.7071, "im": 0.7071}},
+                 1.5885453386902666, id="biggins_rect"),
+    pytest.param({"type": "biggins", "lambda": {"modulus": 2.15, "arg": 0.2732}},
+                 1.178096986712202, id="biggins_polar"),
+    pytest.param({"type": "polya", "b": 8}, 1.414213561935845, id="polya_b8"),
+    pytest.param({"type": "tabular",
+                  "atoms": [[0.5, [0.9]], [0.5, [0.25, 0.25, 0.25, 0.25, 0.1]]]},
+                 0.9999999996908173, id="tabular"),
+    pytest.param({"type": "biggins", "lambda": {"modulus": 2.15, "arg": 2 * math.pi / 23}},
+                 1.178062726666288, id="biggins_tilt23"),
+    pytest.param({"type": "biggins",
+                  "lambda": {"re": math.cos(math.pi / 4), "im": math.sin(math.pi / 4)}},
+                 1.5885671956762617, id="biggins_pi4"),
+    pytest.param({"type": "polya", "b": 7}, 1.6038754716464914, id="polya_b7"),
+    pytest.param({"type": "polya", "b": 9}, 1.3054072890981192, id="polya_b9"),
+    pytest.param({"type": "polya", "b": 12}, 1.1547005381695967, id="polya_b12"),
+]
+
+
+@pytest.mark.parametrize("config, alpha", _PINNED_ALPHAS)
+def test_find_alpha_bits_on_desk_and_figure_configs(config, alpha):
+    assert find_alpha(model_from_config({"model": config})).alpha == alpha
+
+
+def test_find_alpha_biggins_real_lambda_is_one():
+    # m(1) = E[T_1 + T_2] = 1 for real lambda; at lambda = 10 the log-cosh
+    # closed form put the root 4.0e-8 below 1
+    assert abs(find_alpha(BigginsBinary(10.0)).alpha - 1.0) < 2e-8
 
 
 @pytest.mark.parametrize("config, alpha, z1, support", _README_REPORTS,

@@ -66,9 +66,11 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, polya_cfg):
                  ["sample", "--model", polya_cfg, "--out", str(tmp_path / "pool.csv")],
                  ["martingale", "--model", polya_cfg, "--out", str(tmp_path / "mart.csv")],
                  ["figures", "--desk", "--outdir", str(tmp_path / "figures")]):
-        assert main(argv + ["--seed", "-1"]) == 1
-        err = capsys.readouterr().err
-        assert "argument --seed: must be a non-negative integer, got -1" in err
+        # an Arabic-Indic and a fullwidth 1 are rejected, not read as seed 1
+        for seed in ("-1", "\u0661", "\uff11"):
+            assert main(argv + ["--seed", seed]) == 1
+            err = capsys.readouterr().err
+            assert f"argument --seed: must be a non-negative integer, got {seed}" in err
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -87,6 +87,31 @@ def test_biggins_m_prime_closed_form_matches_finite_differences():
         assert model.m_prime_closed_form(s) == pytest.approx(fd, rel=1e-7)
 
 
+# the lambdas of the desk configs (rect, polar) and of the figures (tilt23, pi4)
+_DESK_AND_FIGURE_LAMBDAS = [
+    pytest.param({"re": 0.7071, "im": 0.7071}, id="rect"),
+    pytest.param({"modulus": 2.15, "arg": 0.2732}, id="polar"),
+    pytest.param({"modulus": 2.15, "arg": 2 * math.pi / 23}, id="tilt23"),
+    pytest.param({"re": math.cos(math.pi / 4), "im": math.sin(math.pi / 4)}, id="pi4"),
+]
+
+
+@pytest.mark.parametrize("lam", _DESK_AND_FIGURE_LAMBDAS)
+def test_biggins_moments_match_paper_formula(lam):
+    """The rule's sums give m(s) = 2 cosh(s a) / (2 |cosh lambda|)^s, a = Re lambda, and
+    m'(s) = m(s) (a tanh(s a) - ln(2 |cosh lambda|)).  The bracket is written as
+    -(2 a / (e^{2 s a} + 1) + ln|1 + e^{-2 lambda}|), which cancels nothing."""
+    model = model_from_config({"model": {"type": "biggins", "lambda": lam}})
+    a, den = model.lam.real, 2.0 * abs(cmath.cosh(model.lam))
+    z = cmath.exp(-2.0 * model.lam)
+    log_excess = 0.5 * math.log1p(2.0 * z.real + abs(z) ** 2)  # ln(2 |cosh lambda|) - a
+    for s in np.linspace(0.0, 10.0, 201)[1:].tolist():
+        m = 2.0 * math.cosh(s * a) / den**s
+        m_prime = -m * (2.0 * a / (math.exp(2.0 * s * a) + 1.0) + log_excess)
+        assert model.m_closed_form(s) == pytest.approx(m, rel=1e-13, abs=0.0)
+        assert model.m_prime_closed_form(s) == pytest.approx(m_prime, rel=1e-13, abs=0.0)
+
+
 def test_polya_half_uniform_gives_zeta_rotation():
     model = CyclicPolya(8)
     values, counts = model.weights_from_uniforms(np.array([[0.5]]))
