@@ -9,13 +9,30 @@ squared prefactors (-(i/2) conj(Z))^2 and (-(i/2) Z)^2.
 
 Everything runs in float64.  ecf, wirtinger_derivative and the polar
 grids go through one direct kernel that tiles frequencies x samples and
-sums prefac * e^{-i<xi,z>} per frequency.  Memory is bounded whatever the
-input size: each worker thread holds two 1 MiB phase buffers and, only
-with a prefactor (orders 1 and 2), a 2 MiB complex one, plus
-O(frequencies + samples) for inputs and results.  There is one worker
-per core in the process's CPU affinity mask (os.cpu_count() where the
-platform has no mask), never more than there are frequency tiles; restrict
-the mask (taskset) to use fewer.  With W workers, worker w takes frequency
+sums prefac * e^{-i<xi,z>} per frequency.  Its cosines and sines are
+table-driven, as in Tang (1989, ACM TOMS 15) for exp: with 4096 / (2 pi)
+folded into each frequency, a phase t (in steps of 2 pi / 4096) splits
+into q = rint(t) and |rho| <= pi / 4096, and cos and sin of the phase
+combine the table's entries at q mod 4096 with sin rho = rho (1 - rho^2
+/ 6) and cos rho - 1 = rho^2 (rho^2 / 24 - 1/2).  Every step is a SIMD
+ufunc (on a 2-vCPU AVX-512 VM with numpy 2.4.6, libm's scalar cos and
+sin cost 10-26 ns per value, and this about 10 ns per pair).  Each value
+is within 2^-52 of cosl and sinl, and each sum within 2^-52 (4 + max_k
+|<xi, z_k>|) of a long-double evaluation (relative to n at order 0, to
+sum_k |prefac_k| at orders 1 and 2).  A phase must stay below 2^40 rad,
+where float64 rounding alone moves it by more than 1e-4 rad: every entry
+point raises ValueError when max |Re xi| max |Re z| + max |Im xi| max
+|Im z| reaches 2^40.
+
+Memory is bounded whatever the input size: each worker thread holds one
+block of six float64 arrays (phases and the sincos work arrays) of at
+most 2^15 values, 1.5 MiB, at every order (with a prefactor, the complex
+terms reuse two sincos work arrays), plus O(frequencies + samples) for
+inputs and results.  A tile is at most 8 frequencies and 2^15 values, so
+2 frequencies at full chunk width and 8 below 4096 samples.  There is
+one worker per core in the process's CPU affinity mask (os.cpu_count()
+where the platform has no mask), never more than there are frequency
+tiles; restrict the mask (taskset) to use fewer.  With W workers, worker w takes frequency
 tiles w, w + W, w + 2W, ..., so the split needs no shared state, and each
 frequency is summed in the same order whatever the tiling, so results are
 bit-identical for every worker count.
@@ -23,9 +40,10 @@ bit-identical for every worker count.
 A polar grid with an even angle count A is symmetric: polar_grid builds
 xi_k = r e^{i theta_k} for the first A/2 angles and takes angle k + A/2
 at exactly -xi_k.  The phase at -xi_k is the exact negation of the phase
-at xi_k, cos is even and sin odd, so the kernel takes cos and sin once
-per pair and returns both sums, bit-identical to the direct kernel at
--xi_k at every order and worker count, for half the trigonometry.  -xi_k
+at xi_k, the table-driven cos is even and sin odd, so the kernel takes
+cos and sin once per pair and returns both sums, bit-identical to the
+direct kernel at -xi_k at every order and worker count, for half the
+trigonometry.  -xi_k
 differs from r e^{i theta_{k + A/2}} by about an ulp, so scan values
 differ from a direct evaluation at r e^{i theta} by at most 1e-12
 relative (at most 2.0e-13 measured: order 2 on the biggins tilt-23 pool of
@@ -97,9 +115,15 @@ from .rng import DOMAIN_FOURIER, as_generator
 # Samples reduced at a time.  It fixes the summation order of every
 # frequency, so changing it changes output bits.
 _CHUNK = 1 << 14
-# Size of one full-width tile buffer of phases; the tile height (8 rows)
-# follows from it.
-_BUFFER_BYTES = 1 << 20
+# Entries of the sincos table: phases are taken in steps of 2 pi / _TABLE.
+_TABLE = 1 << 12
+# A tile holds at most _TILE_VALUES phases and _MAX_ROWS frequencies; with
+# _CHUNK-wide pieces that is 2 rows.
+_TILE_VALUES = 1 << 15
+_MAX_ROWS = 8
+# |<xi, z>| must stay below 2^40: past it, float64 rounding alone moves a
+# phase by more than 1e-4 rad.
+_MAX_PHASE = 2.0 ** 40
 # Gaussian gridding of fixed_point_residual's inner ECFs (see the module
 # docstring).  _ALIAS_LOG is L and _TAU_SCALE is A; _MAX_CELLS caps the
 # grid.  Every (samples or frequencies) x nodes block stays within
@@ -154,9 +178,108 @@ def _prefactor(z: np.ndarray, order: int, which: str = "d_xibar") -> np.ndarray 
     raise ValueError(f"order must be 0, 1, or 2, got {order}")
 
 
+def _sincos_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi k / size for k < size (size a multiple of 8).
+
+    Only [0, pi/2] is evaluated, as cos below pi/4 and as sin of the
+    complement above it, so every argument is at most pi/4.  The rest
+    follows exactly from C[size - k] = C[k], C[size/2 - k] = -C[k] and
+    S[k] = C[size/4 - k]: C[size/4] = S[0] = S[size/2] = 0, and
+    S[size - k] = -S[k], so the phase at -t takes the same cosine and the
+    negated sine.
+    """
+    quarter = size // 4
+    k = np.arange(quarter + 1)
+    step = 2.0 * math.pi / size
+    # C[0..quarter]: cos up to pi/4, sin of the complement past it
+    first = np.concatenate((np.cos(k[:quarter // 2 + 1] * step),
+                            np.sin((quarter - k[quarter // 2 + 1:]) * step)))
+    half = np.concatenate((first, -first[-2::-1]))  # C[size/2 - k] = -C[k]
+    cos = np.concatenate((half, half[-2:0:-1]))  # C[size - k] = C[k]
+    # S[k] = C[(size/4 - k) mod size]
+    return cos, np.concatenate((cos[quarter::-1], cos[:quarter:-1]))
+
+
+_COS, _SIN = _sincos_table(_TABLE)
+
+
+def _sincos(t: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi t / _TABLE, elementwise, for |t| < 2^51.
+
+    t = q + f with q = rint(t), so rho = 2 pi f / _TABLE has |rho| <=
+    pi / _TABLE, and cos 2 pi t / _TABLE = C + (C (cos rho - 1) - S sin rho),
+    sin 2 pi t / _TABLE = S + (S (cos rho - 1) + C sin rho), with C and S
+    the table entries at q mod _TABLE (taken exactly in floating point) and
+    sin rho = rho (1 - rho^2 / 6), cos rho - 1 = rho^2 (rho^2 / 24 - 1/2),
+    both truncated below 3e-18.  Each step is odd or even in t, so -t gives
+    the same cosine and the negated sine bit for bit.
+
+    Overwrites t.  work holds five float64 arrays of at least t's size;
+    the results are (cos, sin), views of work[0] and t, and work[1:] is
+    free again on return.
+    """
+    q, c, s, u, v = (a[:t.size].reshape(t.shape) for a in work)
+    # the table indices share u's memory: u is spent before they are
+    # written, and they are spent before u is written again
+    index = work[3].view(np.intp)[:t.size].reshape(t.shape)
+    np.rint(t, out=q)
+    t -= q  # exact: |t| < 2^51
+    t *= 2.0 * math.pi / _TABLE
+    np.multiply(q, 1.0 / _TABLE, out=u)
+    np.floor(u, out=u)
+    u *= _TABLE
+    q -= u
+    np.copyto(index, q, casting="unsafe")
+    # every index is in range: "clip" writes straight into c and s, where
+    # the default mode would gather into a temporary first
+    np.take(_COS, index, out=c, mode="clip")
+    np.take(_SIN, index, out=s, mode="clip")
+    np.multiply(t, t, out=u)
+    np.multiply(u, -1.0 / 6.0, out=v)
+    v += 1.0
+    v *= t  # sin rho
+    np.multiply(u, 1.0 / 24.0, out=t)
+    t -= 0.5
+    t *= u  # cos rho - 1
+    cos = q  # q is spent: its array takes the cosines
+    np.multiply(c, t, out=cos)
+    np.multiply(s, v, out=u)
+    cos -= u
+    cos += c
+    t *= s
+    np.multiply(c, v, out=u)
+    t += u
+    t += s
+    return cos, t
+
+
+def _check_phases(zx: np.ndarray, zy: np.ndarray, xr: np.ndarray, xy: np.ndarray) -> None:
+    """Raise ValueError unless every |<xi, z>| is bounded below _MAX_PHASE.
+
+    The bound is max |Re xi| max |Re z| + max |Im xi| max |Im z|, taken in
+    Python floats, so a huge frequency raises instead of overflowing.
+    """
+    def extent(a: np.ndarray) -> float:
+        return max(-float(a.min()), float(a.max()))
+
+    bound = extent(xr) * extent(zx) + extent(xy) * extent(zy)
+    if not bound < _MAX_PHASE:
+        raise ValueError(
+            f"phases <xi, z> reach {bound:.4g} rad, at or past 2^40 = {_MAX_PHASE:.4g}, "
+            "where float64 rounding alone moves a phase by more than 1e-4 rad; "
+            "use smaller frequencies")
+
+
 def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
                   mirror: bool = False) -> np.ndarray:
     """Per-frequency sums over z of prefac * e^{-i<xi,z>} (prefac None: 1), complex128.
+
+    The phases are taken in steps of 2 pi / _TABLE, with _TABLE / (2 pi)
+    folded into each frequency, and their cosines and sines come from
+    _sincos: a table gather and two short polynomials, all SIMD ufuncs.
+    Each sum is within 2^-52 (4 + max_k |<xi, z_k>|) of a long-double
+    evaluation, relative to n at order 0 and to sum_k |prefac_k| at orders
+    1 and 2; |<xi, z>| must stay below 2^40 (see _check_phases).
 
     Without a prefactor the cosines are summed into the real parts and the
     sines subtracted from the imaginary parts; with one, each tile builds
@@ -169,13 +292,18 @@ def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
 
     With mirror, the result has 2 p entries: the sums at xis, then the sums
     at -xis, both from one cos/sin pass.  The phase at -xi is the exact
-    negation of the phase at xi, cos is even and sin odd, and x - (-s) is
-    x + s, so the second half equals the sums at -xis bit for bit.
+    negation of the phase at xi, _sincos gives the same cosine and the
+    negated sine there, and x - (-s) is x + s, so the second half equals
+    the sums at -xis bit for bit.
     """
     n, p = z.shape[0], xis.shape[0]
     zx, zy = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
-    xr, xy = np.ascontiguousarray(xis.real), np.ascontiguousarray(xis.imag)
-    rows = min(_BUFFER_BYTES // (_CHUNK * 8), p)
+    _check_phases(zx, zy, xis.real, xis.imag)
+    # phases in table steps: t = <xi * _TABLE / (2 pi), z>
+    steps = _TABLE / (2.0 * math.pi)
+    xr, xy = xis.real * steps, xis.imag * steps
+    width = min(n, _CHUNK)
+    rows = min(_MAX_ROWS, _TILE_VALUES // width, p)
     acc = np.zeros(2 * p if mirror else p, np.complex128)
     # each half of the result and how its sines enter: subtracted at xi,
     # added at -xi
@@ -183,35 +311,40 @@ def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
     workers = min(_workers(), -(-p // rows))
 
     def work(w: int) -> None:
-        size = rows * min(n, _CHUNK)
-        ph_buf, tmp_buf = np.empty(size), np.empty(size)
-        e_buf = None if prefac is None else np.empty(size, np.complex128)
+        size = rows * width
+        # one allocation carved into the phases and _sincos's work arrays:
+        # as separate arrays, glibc's malloc returned them to the system and
+        # faulted them in again on every call (0.2 ms of a 0.35 ms call at
+        # 10^4 samples).  With a prefactor, the complex buffer takes work
+        # rows 1 and 2, free once _sincos has returned.
+        block = np.empty((6, size))
+        ph_buf, work_buf = block[0], block[1:]
+        e_buf = block[2:4].reshape(-1).view(np.complex128)
         for lo in range(w * rows, p, workers * rows):
             hi = min(lo + rows, p)
             for a in range(0, n, _CHUNK):
                 b = min(a + _CHUNK, n)
                 shape = (hi - lo, b - a)
                 ph = ph_buf[:shape[0] * shape[1]].reshape(shape)
-                tmp = tmp_buf[:ph.size].reshape(shape)
+                tmp = work_buf[0, :ph.size].reshape(shape)
                 np.multiply(xr[lo:hi, None], zx[a:b], out=ph)
                 np.multiply(xy[lo:hi, None], zy[a:b], out=tmp)
                 ph += tmp
-                np.cos(ph, out=tmp)
-                np.sin(ph, out=ph)
+                cos, sin = _sincos(ph, work_buf)
                 if prefac is None:
-                    cos_sums, sin_sums = tmp.sum(axis=1), ph.sum(axis=1)
+                    cos_sums, sin_sums = cos.sum(axis=1), sin.sum(axis=1)
                     for out, sin_op in halves:
                         out.real[lo:hi] += cos_sums
                         im = out.imag[lo:hi]
                         sin_op(im, sin_sums, out=im)
                     continue
-                # e = cos - i sin, built exactly as cos(ph) - 1j * sin(ph);
-                # at -xi that is cos + i (0 + sin), and the product with the
-                # prefactor is taken anew, as the direct kernel takes it
+                # e = cos - i sin; at -xi that is cos + i (0 + sin), and the
+                # product with the prefactor is taken anew, as the direct
+                # kernel takes it
                 e = e_buf[:ph.size].reshape(shape)
                 for out, sin_op in halves:
-                    e.real = tmp
-                    sin_op(0.0, ph, out=e.imag)
+                    e.real = cos
+                    sin_op(0.0, sin, out=e.imag)
                     e *= prefac[a:b]
                     out[lo:hi] += e.sum(axis=1)
 
@@ -268,6 +401,7 @@ def _gridded_sums(z: np.ndarray, xis: np.ndarray) -> np.ndarray:
     _MAX_CELLS cells (see the module docstring for the identity and bound).
     """
     n, p = z.shape[0], xis.shape[0]
+    _check_phases(z.real, z.imag, xis.real, xis.imag)
     s = float(np.abs(xis).max())
     if s == 0.0:
         return np.full(p, complex(n))
@@ -329,7 +463,9 @@ def _statistic(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
     means = _fourier_sums(z, xis, prefac, mirror) / n
     if n == 1:
         return means, np.zeros(means.shape[0])
-    power = n if prefac is None else float(np.vdot(prefac, prefac).real)
+    # sum |prefac|^2 by numpy's pairwise sum: np.vdot goes through BLAS,
+    # whose threads follow the affinity mask and change its rounding
+    power = n if prefac is None else float(np.square(prefac.view(np.float64)).sum())
     excess = np.maximum(power - n * (means.real**2 + means.imag**2), 0.0)
     return means, np.sqrt(excess / ((n - 1) * n))
 

@@ -314,6 +314,26 @@ def test_ecf_rejects_non_finite_radii(tmp_path, capsys):
         assert not out.exists() and not io.manifest_path(out).exists()
 
 
+def test_ecf_rejects_unresolvable_phases(tmp_path, capsys):
+    # at or past |<xi, z>| = 2^40 the scan exits 1 and writes nothing; just
+    # under it the scan runs without a numpy warning
+    pool_path = _write_gaussian_pool(tmp_path)
+    z = io.read_pool_csv(pool_path).samples
+    edge = fourier._MAX_PHASE / float(np.abs(z.real).max() + np.abs(z.imag).max())
+    out = tmp_path / "scan.csv"
+    for radii in ("1e308,1,2", repr(1.001 * edge)):
+        argv = ["ecf", "--pool", pool_path, "--radii", radii, "--angles", "8", "--out", str(out)]
+        assert main(argv) == 1
+        assert "2^40" in capsys.readouterr().err
+        assert not out.exists() and not io.manifest_path(out).exists()
+    argv = ["ecf", "--pool", pool_path, "--radii", repr(0.999 * edge), "--angles", "8",
+            "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert out.exists()
+
+
 def test_ecf_slope_needs_three_radii(tmp_path, capsys):
     # checked before the scan: every radius here has signal, so "1,2" used
     # to scan and then fail at the fit with exit 2, and "5,5,5" to write a

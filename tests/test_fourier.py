@@ -3,8 +3,10 @@
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +254,28 @@ def test_stderrs_match_two_pass_variance(name, polya_pool):
         np.testing.assert_allclose(grid.stderrs.reshape(-1), ref, rtol=1e-12, atol=0.0)
 
 
+def test_stderrs_do_not_depend_on_blas_threads(tmp_path):
+    # sum |prefac|^2 used to go through BLAS (np.vdot), whose thread count
+    # follows the affinity mask: on 10^5 samples the order-1 and order-2
+    # stderrs differed in the last bits between one and two threads
+    rng = philox(19, 0)
+    z = rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000)
+    np.save(tmp_path / "z.npy", z)
+    script = ("import sys, numpy as np; from smoothfix.fourier import polar_grid; "
+              "z = np.load(sys.argv[1]); "
+              "sys.stdout.write(''.join("
+              "polar_grid(z, [0.5, 2.0], 8, order).stderrs.tobytes().hex() for order in (1, 2)))")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        runs.append(subprocess.run([sys.executable, "-c", script, str(tmp_path / "z.npy")],
+                                   env=env, capture_output=True, text=True, check=True).stdout)
+    expected = "".join(polar_grid(z, [0.5, 2.0], 8, order).stderrs.tobytes().hex()
+                       for order in (1, 2))
+    assert runs == [expected, expected]
+
+
 def test_polar_grid_memory_is_bounded(monkeypatch):
     # one frequency tile per worker is live at a time; an untiled kernel
     # needs about 134 MB for each complex (512 x 2^14) temporary
@@ -265,6 +289,29 @@ def test_polar_grid_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+def test_polar_grid_memory_within_worker_budget(monkeypatch):
+    # the documented per-worker budget is 1.5 MiB at every order: six
+    # 256 KiB phase and sincos arrays, two of which hold the complex terms.
+    # The inputs are O(frequencies + samples): contiguous real and
+    # imaginary parts and the prefactor (32 bytes per sample), frequencies
+    # and results.  An extra 1 MiB array per worker would exceed the 1 MiB
+    # of slack.
+    workers = 2
+    monkeypatch.setattr(fourier, "_workers", lambda: workers)
+    rng = philox(16, 0)
+    n, n_angles = 1 << 16, 512
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        polar_grid(z, [3.0], n_angles=n_angles, order=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_worker = 1.5 * 2**20
+    inputs = 32 * n + 128 * n_angles
+    assert peak < workers * per_worker + inputs + 2**20
 
 
 def test_polar_grid_validations(gaussian_samples):
@@ -501,3 +548,137 @@ def test_decay_fit_excludes_noise_dominated_radii():
     scan = decay_from_grid(gated)
     assert list(scan.kept) == [True] * 4 + [False] * 3
     assert scan.slope == pytest.approx(-2.0, abs=1e-12)
+
+
+_TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
+_EXTENDED = np.finfo(np.longdouble).eps < 2.0**-60
+needs_long_double = pytest.mark.skipif(not _EXTENDED,
+                                       reason="long double is not extended precision")
+
+
+def _sincos(t):
+    t = np.array(t, dtype=np.float64)
+    cos, sin = fourier._sincos(t.copy(), np.empty((5, t.size)))
+    return cos.copy(), sin.copy()
+
+
+def _long_double_sincos(t):
+    """cosl and sinl of 2 pi t / _TABLE, with t reduced exactly modulo _TABLE."""
+    table = fourier._TABLE
+    q = np.rint(t)
+    k = q - table * np.floor(q / table)
+    phase = (k.astype(np.longdouble) + (t - q)) * (_TWO_PI_LD / table)
+    return np.cos(phase), np.sin(phase)
+
+
+@needs_long_double
+def test_sincos_matches_long_double_elementwise():
+    # every table node and half-node, multiples of pi/2, +-0, and phases up
+    # to the 2^40 bound (t up to 2^40 _TABLE / (2 pi) table steps)
+    table = fourier._TABLE
+    nodes = np.arange(table, dtype=np.float64)
+    largest = fourier._MAX_PHASE * table / (2.0 * math.pi)
+    rng = philox(41, 0)
+    cases = {
+        "nodes": nodes,
+        "half_nodes": nodes + 0.5,
+        "quarter_turns": table / 4 * np.arange(-12.0, 13.0),
+        "zeros": np.array([0.0, -0.0]),
+        "near_bound": np.concatenate((rng.uniform(-largest, largest, 20_000),
+                                      [largest, np.nextafter(largest, 0.0)])),
+        "scan_range": rng.uniform(-5e6, 5e6, 20_000),
+    }
+    for name, t in cases.items():
+        cos, sin = _sincos(t)
+        ref_cos, ref_sin = _long_double_sincos(t)
+        assert np.abs(cos - ref_cos).max() <= 2.0**-52, name
+        assert np.abs(sin - ref_sin).max() <= 2.0**-52, name
+        neg_cos, neg_sin = _sincos(-t)
+        assert (neg_cos == cos).all() and (neg_sin == -sin).all(), name
+    cos, sin = _sincos(cases["quarter_turns"])
+    assert cos.tolist() == [1.0, 0.0, -1.0, 0.0] * 6 + [1.0]
+    assert sin.tolist() == [0.0, 1.0, 0.0, -1.0] * 6 + [0.0]
+    assert _sincos(cases["zeros"])[0].tolist() == [1.0, 1.0]
+    assert _sincos(cases["zeros"])[1].tolist() == [0.0, 0.0]
+
+
+def test_sincos_table_symmetries():
+    cos, sin = fourier._COS, fourier._SIN
+    table = fourier._TABLE
+    k = np.arange(1, table)
+    assert cos[table // 4] == 0.0 and sin[0] == 0.0 and sin[table // 2] == 0.0
+    assert cos[0] == 1.0 and sin[table // 4] == 1.0
+    assert (cos[table - k] == cos[k]).all()
+    assert (sin[table - k] == -sin[k]).all()
+
+
+@needs_long_double
+@pytest.mark.parametrize("name", ["polya_b8", "biggins_tilt23"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_fourier_sums_match_long_double(name, order, polya_pool, tilt23_pool):
+    # each mean within 2^-52 (4 + max_k |<xi, z_k>|) of a long-double
+    # evaluation, in units of the mean |prefactor| at orders 1 and 2; the
+    # mirrored half at -xi is held to the same bound
+    z = (polya_pool if name == "polya_b8" else tilt23_pool).samples
+    n = z.shape[0]
+    radii = np.geomspace(0.5, 500.0, 7)
+    xis = (radii[:, None] * np.exp(2j * math.pi * np.arange(8) / 16)[None, :]).reshape(-1)
+    prefac = fourier._prefactor(z, order)
+    means = _fourier_sums(z, xis, prefac, mirror=True) / n
+    freqs = np.concatenate((xis, -xis))
+    phase = (np.multiply.outer(freqs.real.astype(np.longdouble), z.real.astype(np.longdouble))
+             + np.multiply.outer(freqs.imag.astype(np.longdouble), z.imag.astype(np.longdouble)))
+    terms = np.cos(phase) - 1j * np.sin(phase)
+    scale = 1.0
+    if prefac is not None:
+        terms *= prefac.astype(np.clongdouble)
+        scale = float(np.abs(prefac).mean())
+    exact = terms.mean(axis=1)
+    gap = np.abs(means.astype(np.clongdouble) - exact).astype(np.float64) / scale
+    bound = 2.0**-52 * (4.0 + np.abs(phase).max(axis=1).astype(np.float64))
+    assert (gap <= bound).all()
+
+
+def _phase_bound(z, xis):
+    return (np.abs(xis.real).max() * np.abs(z.real).max()
+            + np.abs(xis.imag).max() * np.abs(z.imag).max())
+
+
+def test_unresolvable_phases_rejected(gaussian_samples):
+    z = gaussian_samples
+    radius = fourier._MAX_PHASE / (np.abs(z.real).max() + np.abs(z.imag).max())
+    message = "2\\^40"
+    for call in (lambda: ecf(z, 1e308),
+                 lambda: ecf(z, 1.001 * complex(radius, radius)),
+                 lambda: wirtinger_derivative(z, 1.001 * complex(radius, radius)),
+                 lambda: polar_grid(z, [1e308, 1.0, 2.0], n_angles=8),
+                 lambda: polar_grid(z, [1.0, 1.001 * radius], n_angles=8, order=1)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # just under the bound everything runs, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = polar_grid(z, [0.999 * radius], n_angles=8, order=2)
+        assert np.isfinite(grid.values).all()
+        assert abs(ecf(z, 0.999 * radius).value) <= 1.0 + 1e-12
+
+
+def test_residual_rejects_unresolvable_inner_and_outer_phases(gaussian_samples):
+    model = CyclicPolya(8)
+    inner = np.conj(model.draw_batch(philox(1, DOMAIN_FOURIER, 0), 200)[0])
+    # the left-hand side resolves, the rotated inner frequencies do not:
+    # a pool narrow in Re z and wide in Im z, at a real xi
+    z = np.concatenate((gaussian_samples.real * 1e-6 + 1j * gaussian_samples.imag, [1.0]))
+    xi = 0.5 * fourier._MAX_PHASE
+    assert _phase_bound(z, np.array([xi])) < fourier._MAX_PHASE
+    assert _phase_bound(z, xi * inner) >= fourier._MAX_PHASE
+    ecf(z, xi)
+    with pytest.raises(ValueError, match="2\\^40"):
+        fixed_point_residual(z, model, xi, M=200, rng=1)
+    # the inner frequencies resolve, the left-hand side does not: |T| < 1
+    z = gaussian_samples.real + 0j
+    xi = fourier._MAX_PHASE / np.abs(z.real).max()
+    assert _phase_bound(z, xi * inner) < fourier._MAX_PHASE <= _phase_bound(z, np.array([xi]))
+    _gridded_sums(z, xi * inner)
+    with pytest.raises(ValueError, match="2\\^40"):
+        fixed_point_residual(z, model, xi, M=200, rng=1)
