@@ -8,29 +8,46 @@ kde2d bins before it evaluates (linear binning: Silverman 1982, Appl.
 Stat. 31, AS 176; Wand 1994, J. Comput. Graph. Stat. 3(4)).  Each axis
 gets a fine grid whose spacing divides the output step and is at most
 h/16, so every output node is also a fine node; the fine grid reaches
-9h past the output extent.  Every sample spreads its unit mass over its
-4 surrounding fine nodes with bilinear weights, and the density is
-K_x @ W @ K_y.T / n for the mass grid W and the kernel matrices K_x, K_y
-between output and fine nodes.  Past one binning pass, time and memory
-do not depend on the sample count.  A sample outside the fine grid adds
-at most e^-40.5 of the kernel peak anywhere on the output grid, so it
-is dropped but still counts in the 1/n.  Against the exact per-sample
-sum, max |binned - exact| / peak measured at most 2.9e-4 on the six
-figure pools at n = 10^4 and 3.5e-4 at n = 10^5 (K = 50, seed 1), and
-5.4e-4 on biggins_tilt23 at n = 10^6, K = 100.
+pad = ceil(9h / spacing) fine nodes past the output extent.  Every sample
+spreads its unit mass over its 4 surrounding fine nodes with bilinear
+weights, and the density is K_x @ W @ K_y.T / n for the mass grid W and
+the kernel matrices K_x, K_y between output and fine nodes.  A sample
+outside the fine grid adds at most e^-40.5 of the kernel peak anywhere on
+the output grid, so it is dropped but still counts in the 1/n.  Against
+the exact per-sample sum, max |binned - exact| / peak measured at most
+2.9e-4 on the six figure pools at n = 10^4 and 3.5e-4 at n = 10^5 (K =
+50, seed 1), and 5.4e-4 on biggins_tilt23 at n = 10^6, K = 100.
+
+W is never held whole.  Since output nodes are fine nodes, each kernel
+matrix is a strided Toeplitz matrix taken from one vector of 2 pad + 1
+taps, the kernel at fine-node offsets up to 9h; past them it is below
+e^-40.5 of its peak and counts as 0.  kde2d sorts the samples by band of
+64 fine x rows (a stable sort of 2-byte keys) and sweeps the bands once:
+it bins a band's samples, 2^13 at a time, onto its rows (plus one for
+the bilinear spill into the next band), and adds K_x[rows, band] @
+W_band into a len(x) x fine_y accumulator, over the output rows within
+the taps' reach only.  Bands without samples are skipped.  A second
+sweep contracts the accumulator with K_y, 64 fine y columns at a time.
+Memory is O(n) for one index and one key per sample, plus the
+accumulator and one band: tracemalloc read 13.4 MiB at n = 10^6 and 256
+cells.  Every matrix product here and on the exact paths has at most
+fourier._PRODUCT_MACS = 2^19 multiply-adds and is taken in a fixed order:
+OpenBLAS 0.3.31 runs products that small on the calling thread, so the
+sums, and the density files, do not depend on the affinity mask or on
+OPENBLAS_NUM_THREADS.
 
 kde2d takes the exact per-sample sum instead when its matrix product is
 the smaller one: the exact product costs len(x) * n * len(y)
-multiply-adds and the larger binned one len(x) * cells, for the number
-of mass-grid cells, so the exact sum is taken when n * len(y) <= cells.
-With Silverman bandwidths and 256 cells this ratio depends only on n; it
-crosses 1 near n = 2750 and reads 1.90 at n = 10^4.  On Gaussian pools
-(best of 21 runs per step, 2 vCPUs) exact took 5.1 against 13 ms binned
-at n = 1000 (ratio 0.32), 9.4 against 8.8 ms at n = 2000 (0.70) and 16.8
-against 8.0 ms at n = 3000 (1.11).  The exact sum is also taken when the
-mass grid would exceed 2^23 cells (a bandwidth far below the output
-step, or far above the extent).  It runs in sample chunks whose kernel
-matrices hold 2^23 entries at 256 cells.
+multiply-adds and the first sweep about len(x) * (2 pad_x + 64) * fine_y,
+so the exact sum is taken when n * len(y) <= (2 pad_x + 64) * fine_y.
+With Silverman bandwidths and 256 cells this ratio depends only on n and
+crosses 1 near n = 1450.  On Gaussian pools (best of 21 runs per step, 2
+vCPUs) exact took 6.3 against 8.0 ms banded at n = 1000 (ratio 0.63),
+8.0 against 7.9 ms at n = 1400 (0.96) and 12.4 against 7.2 ms at n =
+2000 (1.47).  The exact sum is also taken when the fine grid would
+exceed 2^23 nodes (a bandwidth far below the output step, or far above
+the extent).  It, and the 1-d fallback below, run in sample chunks whose
+kernel matrices hold at most 2^20 entries, 8 MiB.
 
 A pool whose imaginary (or real) part is exactly constant has no 2-d
 density; with default bandwidths kde2d then falls back to an exact 1-d
@@ -46,14 +63,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fourier import _PRODUCT_MACS
 from .popdyn import _sample_array
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _FINE_PER_H = 16  # fine-grid spacing is at most h / _FINE_PER_H
 _MARGIN_H = 9.0  # the fine grid reaches this many bandwidths past the extent
-_MASS_BUDGET = 1 << 23  # most mass-grid cells before kde2d takes the exact path
-_BIN_CHUNK = 1 << 18
-_EXACT_CHUNK = 1 << 15  # samples per kernel matrix on the exact paths
+_MASS_BUDGET = 1 << 23  # most fine-grid nodes before kde2d takes the exact path
+_BAND = 64  # fine rows binned and contracted at a time
+_CHUNK = 1 << 13  # samples whose fine coordinates are live at a time
+_KERNEL_ENTRIES = 1 << 20  # most entries of one kernel matrix on the exact paths
+_TILE_ROWS, _TILE_DEPTH = 32, 128  # most rows and reduction length of one product
 
 
 @dataclass(frozen=True)
@@ -95,20 +115,18 @@ def _axis_grid(data: np.ndarray, h: float, cells: int) -> np.ndarray:
 class _FineAxis(NamedTuple):
     """Binning grid on one axis: node k sits at origin + (k - pad) * spacing.
 
-    origin is the first output node and the output step is a whole number
-    of spacings, so every output node is a fine node.
+    origin is the first output node and the output step is stride
+    spacings, so output node i is fine node pad + i * stride.
     """
 
     origin: float
     pad: int
     spacing: float
+    stride: int
     count: int
 
     def index(self, v: np.ndarray) -> np.ndarray:
         return (v - self.origin) / self.spacing + self.pad
-
-    def nodes(self) -> np.ndarray:
-        return self.origin + (np.arange(self.count) - self.pad) * self.spacing
 
 
 def _fine_axis(grid: np.ndarray, h: float) -> _FineAxis | None:
@@ -123,62 +141,114 @@ def _fine_axis(grid: np.ndarray, h: float) -> _FineAxis | None:
     m = math.ceil(_FINE_PER_H * step / h)
     spacing = step / m
     pad = math.ceil(_MARGIN_H * h / spacing)
-    return _FineAxis(float(grid[0]), pad, spacing, (cells - 1) * m + 1 + 2 * pad)
+    return _FineAxis(float(grid[0]), pad, spacing, m, (cells - 1) * m + 1 + 2 * pad)
 
 
-def _bin_chunk(xs, ys, fx: _FineAxis, fy: _FineAxis) -> np.ndarray:
-    """Bilinear masses of one chunk of samples on the flattened fine grid."""
-    nx, ny = fx.count, fy.count
+def _taps(f: _FineAxis, h: float) -> np.ndarray:
+    """Kernel weights at fine-node offsets -pad ... pad, _BAND zeros either side."""
+    u = np.arange(-f.pad, f.pad + 1) * (f.spacing / h)
+    taps = np.zeros(2 * (f.pad + _BAND) + 1)
+    taps[_BAND:-_BAND] = np.exp(-0.5 * u * u) / (h * _SQRT2PI)
+    return taps
+
+
+def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """out += a @ b, as products of at most _PRODUCT_MACS multiply-adds in a fixed order."""
+    (p, k), q = a.shape, b.shape[1]
+    rows, depth = min(p, _TILE_ROWS), min(k, _TILE_DEPTH)
+    cols = _PRODUCT_MACS // (rows * depth)
+    for d in range(0, k, depth):
+        for r in range(0, p, rows):
+            for c in range(0, q, cols):
+                part = a[r:r + rows, d:d + depth] @ b[d:d + depth, c:c + cols]
+                out[r:r + rows, c:c + cols] += part
+
+
+def _contract(out: np.ndarray, taps: np.ndarray, f: _FineAxis, r0: int, band: np.ndarray) -> None:
+    """out[i] += sum_r K[i, r] band[r - r0] over the output rows i the taps reach.
+
+    K[i, r] is the tap at offset pad + i * stride - r; band holds at most
+    _BAND + 1 fine rows from r0 on.
+    """
+    k = band.shape[0]
+    lo = max(0, -((2 * f.pad - r0) // f.stride))
+    hi = min(out.shape[0], (r0 + k - 1) // f.stride + 1)
+    if lo < hi:
+        offsets = np.subtract.outer(np.arange(lo, hi) * f.stride, np.arange(r0, r0 + k))
+        _add_product(out[lo:hi], taps[offsets + (2 * f.pad + _BAND)], band)
+
+
+def _band_mass(xs, ys, fx: _FineAxis, fy: _FineAxis, r0: int, rows: int) -> np.ndarray:
+    """Bilinear masses on fine rows r0 ... r0 + rows - 1, flattened, of samples binned there."""
     tx, ty = fx.index(xs), fy.index(ys)
-    keep = (tx >= 0) & (tx < nx - 1) & (ty >= 0) & (ty < ny - 1)
-    tx, ty = tx[keep], ty[keep]
-    del keep
     ix, iy = tx.astype(np.int64), ty.astype(np.int64)
     wx, wy = tx - ix, ty - iy
-    del tx, ty
-    flat = ix * ny + iy
-    del ix, iy
+    ny = fy.count
+    flat = (ix - r0) * ny + iy
     cells = np.concatenate([flat, flat + 1, flat + ny, flat + ny + 1])
-    del flat
     weights = np.concatenate([(1 - wx) * (1 - wy), (1 - wx) * wy, wx * (1 - wy), wx * wy])
-    del wx, wy  # only the cells, their weights and the grid while bincount runs
-    return np.bincount(cells, weights, minlength=nx * ny)
-
-
-def _mass_grid(xs, ys, fx: _FineAxis, fy: _FineAxis) -> np.ndarray:
-    """Bilinear binning of unit sample masses onto the fine nodes."""
-    mass = _bin_chunk(xs[:_BIN_CHUNK], ys[:_BIN_CHUNK], fx, fy)
-    for a in range(_BIN_CHUNK, xs.shape[0], _BIN_CHUNK):
-        mass += _bin_chunk(xs[a : a + _BIN_CHUNK], ys[a : a + _BIN_CHUNK], fx, fy)
-    return mass.reshape(fx.count, fy.count)
+    return np.bincount(cells, weights, minlength=rows * ny)
 
 
 def _kernel_matrix(grid: np.ndarray, data: np.ndarray, h: float) -> np.ndarray:
-    u = (grid[:, None] - data[None, :]) / h
-    return np.exp(-0.5 * u * u) / (h * _SQRT2PI)
+    u = np.subtract.outer(grid, data)
+    u /= h
+    np.square(u, out=u)
+    u *= -0.5
+    np.exp(u, out=u)
+    u /= h * _SQRT2PI
+    return u
 
 
 def _eval_2d(xg, yg, xs, ys, hx, hy) -> np.ndarray:
     n = xs.shape[0]
     out = np.zeros((xg.shape[0], yg.shape[0]))
-    for a in range(0, n, _EXACT_CHUNK):
-        b = min(a + _EXACT_CHUNK, n)
-        out += _kernel_matrix(xg, xs[a:b], hx) @ _kernel_matrix(yg, ys[a:b], hy).T
+    chunk = max(1, _KERNEL_ENTRIES // max(xg.shape[0], yg.shape[0]))
+    for a in range(0, n, chunk):
+        b = min(a + chunk, n)
+        _add_product(out, _kernel_matrix(xg, xs[a:b], hx), _kernel_matrix(yg, ys[a:b], hy).T)
     out /= n
     return out
 
 
 def _binned_2d(xg, yg, xs, ys, hx, hy) -> np.ndarray:
     fx, fy = _fine_axis(xg, hx), _fine_axis(yg, hy)
-    cells = math.inf if fx is None or fy is None else fx.count * fy.count
-    # multiply-adds over len(xg): n * len(yg) exact, cells for K_x @ W binned
-    if cells > _MASS_BUDGET or xs.shape[0] * yg.shape[0] <= cells:
+    # multiply-adds over len(xg): n * len(yg) exact, about (2 pad_x + 64) * ny binned
+    if (fx is None or fy is None or fx.count * fy.count > _MASS_BUDGET
+            or xs.shape[0] * yg.shape[0] <= (2 * fx.pad + _BAND) * fy.count):
         return _eval_2d(xg, yg, xs, ys, hx, hy)
-    mass = _mass_grid(xs, ys, fx, fy)
-    kx = _kernel_matrix(xg, fx.nodes(), hx)
-    ky = _kernel_matrix(yg, fy.nodes(), hy)
-    values = (kx @ mass) @ ky.T
-    values /= xs.shape[0]
+    n, nx, ny = xs.shape[0], fx.count, fy.count
+    # Band b holds the samples whose lower fine row is in [64 b, 64 b + 64),
+    # and a sample off the fine grid gets key `bands`.  ny >= 289, so nx
+    # and the band count stay below 2^23 / 289 and 2^16.
+    bands = -(-(nx - 1) // _BAND)
+    keys = np.empty(n, np.uint16)
+    for a in range(0, n, _CHUNK):
+        tx, ty = fx.index(xs[a:a + _CHUNK]), fy.index(ys[a:a + _CHUNK])
+        inside = (tx >= 0) & (tx < nx - 1) & (ty >= 0) & (ty < ny - 1)
+        keys[a:a + _CHUNK] = np.where(inside, tx // _BAND, bands)
+    edges = np.zeros(bands + 2, np.int64)
+    np.cumsum(np.bincount(keys, minlength=bands + 1), out=edges[1:])
+    order = np.argsort(keys, kind="stable")
+    del keys
+    acc = np.zeros((xg.shape[0], ny))  # K_x @ W
+    taps = _taps(fx, hx)
+    for b in range(bands):
+        if edges[b] == edges[b + 1]:
+            continue
+        r0 = b * _BAND
+        rows = min(_BAND + 1, nx - r0)
+        mass = np.zeros(rows * ny)
+        for a in range(edges[b], edges[b + 1], _CHUNK):
+            pick = order[a:min(a + _CHUNK, edges[b + 1])]
+            mass += _band_mass(xs[pick], ys[pick], fx, fy, r0, rows)
+        _contract(acc, taps, fx, r0, mass.reshape(rows, ny))
+    del order
+    values = np.zeros((xg.shape[0], yg.shape[0]))
+    taps = _taps(fy, hy)
+    for r0 in range(0, ny, _BAND):
+        _contract(values.T, taps, fy, r0, acc[:, r0:r0 + _BAND].T)
+    values /= n
     return values
 
 
@@ -190,8 +260,9 @@ def _kde1d(data: np.ndarray, cells: int, axis: str) -> DensityLine:
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
     grid = _axis_grid(data, h, cells)
     values = np.zeros(grid.shape[0])
-    for a in range(0, n, _EXACT_CHUNK):
-        values += _kernel_matrix(grid, data[a : a + _EXACT_CHUNK], h).sum(axis=1)
+    chunk = max(1, _KERNEL_ENTRIES // grid.shape[0])
+    for a in range(0, n, chunk):
+        values += _kernel_matrix(grid, data[a : a + chunk], h).sum(axis=1)
     values /= n
     return DensityLine(grid, values, h, n, axis)
 

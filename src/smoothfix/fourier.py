@@ -133,6 +133,8 @@ _ALIAS_LOG = math.log(1e14)
 _TAU_SCALE = 1.0
 _MAX_CELLS = 1 << 17
 _BLOCK_BYTES = 1 << 18
+# OpenBLAS 0.3.31 runs a product this small on the calling thread, so its
+# sums do not depend on the thread count; density's products share it.
 _PRODUCT_MACS = 1 << 19
 
 

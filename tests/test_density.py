@@ -1,23 +1,27 @@
 """Gaussian-product KDE and grid integrals."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from smoothfix import CyclicPolya, Tabular
+from smoothfix import CyclicPolya, Tabular, io
 from smoothfix.cli import _figure_models
 from smoothfix.density import (
     DensityGrid,
     DensityLine,
     _binned_2d,
     _eval_2d,
+    _fine_axis,
     grid_integral,
     kde2d,
 )
 from smoothfix.model import model_from_config
-from smoothfix.popdyn import run
+from smoothfix.popdyn import SamplePool, run
 from smoothfix.rng import philox
 
 
@@ -215,15 +219,86 @@ def test_small_pool_takes_exact_path():
     assert np.array_equal(est.values, _exact(est, z))
 
 
-def test_kde2d_memory_bounded():
-    # the per-sample path held two 256 x 32768 kernel chunks and their
-    # temporaries, 256.5 MiB; the mass grid does not grow with n
-    rng = philox(25, 0)
-    z = rng.standard_normal(1_000_000) + 1j * rng.standard_normal(1_000_000)
+def test_banded_sweep_matches_dense_product():
+    # the fine grid, margin and bilinear weights of _binned_2d, contracted
+    # as one dense K_x @ W @ K_y.T; over 10^4 samples share the central
+    # band, and a few lie past the fine grid
+    rng = philox(30, 0)
+    n = 40_000
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z[:5] = [9.0, -9.0 + 1j, 8.0j, -7.0j, 3.0 + 6.0j]
+    gx, gy, hx, hy = np.linspace(-4.0, 4.5, 97), np.linspace(-3.0, 3.0, 64), 0.2, 0.15
+    fx, fy = _fine_axis(gx, hx), _fine_axis(gy, hy)
+    assert n * gy.shape[0] > fx.count * fy.count  # the binned path
+    tx, ty = fx.index(z.real), fy.index(z.imag)
+    keep = (tx >= 0) & (tx < fx.count - 1) & (ty >= 0) & (ty < fy.count - 1)
+    assert not keep[:5].any()
+    tx, ty = tx[keep], ty[keep]
+    ix, iy = np.floor(tx).astype(int), np.floor(ty).astype(int)
+    wx, wy = tx - ix, ty - iy
+    mass = np.zeros((fx.count, fy.count))
+    for dx, dy, w in ((0, 0, (1 - wx) * (1 - wy)), (0, 1, (1 - wx) * wy),
+                      (1, 0, wx * (1 - wy)), (1, 1, wx * wy)):
+        np.add.at(mass, (ix + dx, iy + dy), w)
+
+    def kernel(grid, f, h):
+        nodes = f.origin + (np.arange(f.count) - f.pad) * f.spacing
+        u = (grid[:, None] - nodes[None, :]) / h
+        return np.exp(-0.5 * u * u) / (h * math.sqrt(2 * math.pi))
+
+    dense = kernel(gx, fx, hx) @ mass @ kernel(gy, fy, hy).T / n
+    banded = _binned_2d(gx, gy, z.real, z.imag, hx, hy)
+    assert np.abs(banded - dense).max() <= 1e-13 * dense.max()
+
+
+def _traced_peak(f) -> int:
     tracemalloc.start()
     try:
-        kde2d(z)
-        peak = tracemalloc.get_traced_memory()[1]
+        f()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 128 * 2**20
+
+
+def test_kde2d_memory_bounded():
+    # the binned path holds one index and one 2-byte band key per sample,
+    # 256 x fine_y sums and one band of fine rows: 13.4 MiB here, where a
+    # whole fine mass grid and the dense products peaked at 54 MiB
+    rng = philox(25, 0)
+    z = rng.standard_normal(1_000_000) + 1j * rng.standard_normal(1_000_000)
+    assert _traced_peak(lambda: kde2d(z)) <= 20 * 2**20
+
+
+def test_exact_paths_memory_bounded():
+    # each kernel matrix holds at most 2^20 entries, 8 MiB; with 2^15
+    # samples per chunk the 1-d fallback peaked at 192 MiB and the 2-d
+    # exact sum at 257 MiB
+    rng = philox(25, 1)
+    x = rng.standard_normal(100_000)
+    assert _traced_peak(lambda: kde2d(x + 0j)) <= 12 * 2**20
+    z = x + 1j * rng.standard_normal(100_000)
+    assert _traced_peak(lambda: kde2d(z, bandwidth=(1e-4, 1e-4))) <= 24 * 2**20
+
+
+def test_density_files_do_not_depend_on_blas_threads(tmp_path):
+    # the dense binned product K_x @ W went through OpenBLAS above its
+    # single-thread size, so at 10^5 samples its last bits followed the
+    # thread count, which follows the affinity mask
+    rng = philox(29, 0)
+    pools = {"binned": rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000),
+             "exact": rng.standard_normal(1000) + 1j * rng.standard_normal(1000),
+             "line": rng.standard_normal(3000) + 0j}
+    for name, z in pools.items():
+        io.write_pool_csv(tmp_path / f"{name}.csv", SamplePool(0, z, 29, "test"))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        (tmp_path / threads).mkdir()
+        for name in pools:
+            subprocess.run([sys.executable, "-m", "smoothfix.cli", "density", "--pool",
+                            f"../{name}.csv", "--out", f"{name}_density.csv"],
+                           cwd=tmp_path / threads, env=env, capture_output=True, check=True)
+        outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / threads).iterdir())})
+    assert len(outputs[0]) == 2 * len(pools)
+    assert outputs[0] == outputs[1]
