@@ -15,6 +15,13 @@ forms for polya, whose quadrature rule cannot see where m diverges.  The
 report's moments and support class are expectations under the same rule,
 model._rule_table; a moment is flagged "pass" when finite and
 "indeterminate", with the value null, when it overflows.
+find_alpha(method="closed_form") bisects on the sign of log m(s), a
+log-sum-exp over the rule's distinct moduli: for real biggins lambda
+past about 20, T_- rounds to 1 and m(s) - 1 reads 0 past some s < 1,
+while log|T_-|, taken from lambda, keeps the sign.  Where m'(alpha)
+rounds to 0 (biggins at lambda = 700, where log|T_-| underflows too),
+m is flat at 1 in floating point and no root can be told: the report
+gives alpha as null and A2 as "indeterminate".
 find_alpha(method="monte_carlo") averages over one table of weight
 draws reused across all s, so its curve is a smooth convex function of
 s and bisection on it is well posed.
@@ -73,7 +80,8 @@ def find_alpha(model, n: int = 100_000, rng=None, method: str = "closed_form") -
     """Locate the characteristic exponent: the smallest root of m(s) = 1 in (0, 10].
 
     Scans a geometric grid for a sign change of m - 1 and bisects the
-    bracket down to width 1e-9.  m is convex, so there are at most two
+    bracket down to width 1e-9; the closed form takes the sign from log m,
+    which keeps it where m - 1 is below rounding.  m is convex, so there are at most two
     roots; if m has returned above 1 by s = 10 the result carries
     multiple_roots = True and alpha is the smaller root.  method is
     "closed_form" (the model's m) or "monte_carlo" (the mean over n weight
@@ -81,8 +89,8 @@ def find_alpha(model, n: int = 100_000, rng=None, method: str = "closed_form") -
     """
     if method == "closed_form":
         table = None
-        m_of = model.m_closed_form
-        m0 = float(m_of(0.0))
+        excess = model.log_m_closed_form
+        m0 = float(model.m_closed_form(0.0))
     elif method == "monte_carlo":
         rng = as_generator(rng, DOMAIN_ANALYSIS, 0)
         if n < 2:
@@ -90,8 +98,8 @@ def find_alpha(model, n: int = 100_000, rng=None, method: str = "closed_form") -
         table = _DrawTable(*model.draw_batch(rng, n))
         m0 = float(table.counts.mean())
 
-        def m_of(s: float) -> float:
-            return float(table.m_hat(s).mean())
+        def excess(s: float) -> float:
+            return float(table.m_hat(s).mean()) - 1.0
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -102,7 +110,7 @@ def find_alpha(model, n: int = 100_000, rng=None, method: str = "closed_form") -
     lo = 0.0
     hi = None
     for s in grid:
-        if m_of(float(s)) - 1.0 <= 0.0:
+        if excess(float(s)) <= 0.0:
             hi = float(s)
             break
         lo = float(s)
@@ -113,13 +121,13 @@ def find_alpha(model, n: int = 100_000, rng=None, method: str = "closed_form") -
         if hi - lo <= _TOL:
             break
         mid = 0.5 * (lo + hi)
-        if m_of(mid) - 1.0 <= 0.0:
+        if excess(mid) <= 0.0:
             hi = mid
         else:
             lo = mid
     alpha = 0.5 * (lo + hi)
 
-    multiple = (_S_MAX - alpha) > 10.0 * _TOL and m_of(_S_MAX) >= 1.0 - 1e-12
+    multiple = (_S_MAX - alpha) > 10.0 * _TOL and excess(_S_MAX) >= -1e-12
 
     stderr = 0.0
     if table is not None:
@@ -186,7 +194,10 @@ def check_assumptions(model, *, seed: int = 0) -> AssumptionReport:
     w1_est = a4_est = None
     if alpha is not None:
         m_prime_alpha = float(model.m_prime_closed_form(alpha))
-
+        if m_prime_alpha == 0.0:  # m is flat at the root in floating point: no root to tell
+            alpha = m_prime_alpha = None
+            flags["A2"] = "indeterminate"
+    if alpha is not None:
         # A3: negative drift and E[W_1 log_+ W_1] < inf, W_1 = sum |T_j|^alpha
         w1 = table.m_hat(alpha)
         w1_est, w1_flag = expect(w1 * np.log(np.maximum(w1, 1.0)))
@@ -233,7 +244,7 @@ def check_assumptions(model, *, seed: int = 0) -> AssumptionReport:
         alpha=alpha,
         alpha_stderr=alpha_res.stderr if alpha_res is not None else 0.0,
         alpha_in_density_range=in_range,
-        multiple_roots=alpha_res.multiple_roots if alpha_res is not None else False,
+        multiple_roots=alpha is not None and alpha_res.multiple_roots,
         m_prime_alpha=m_prime_alpha,
         w1_loglog=w1_est,
         a4_moment=a4_est,

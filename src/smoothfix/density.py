@@ -31,10 +31,10 @@ sweep contracts the accumulator with K_y, 64 fine y columns at a time.
 Memory is O(n) for one index and one key per sample, plus the
 accumulator and one band: tracemalloc read 13.4 MiB at n = 10^6 and 256
 cells.  Every matrix product here and on the exact paths has at most
-fourier._PRODUCT_MACS = 2^19 multiply-adds and is taken in a fixed order:
+_PRODUCT_MACS = 2^19 multiply-adds and is taken in a fixed order:
 OpenBLAS 0.3.31 runs products that small on the calling thread, so the
 sums, and the density files, do not depend on the affinity mask or on
-OPENBLAS_NUM_THREADS.
+OPENBLAS_NUM_THREADS.  fourier's products share the constant.
 
 kde2d takes the exact per-sample sum instead when its matrix product is
 the smaller one: the exact product costs len(x) * n * len(y)
@@ -46,8 +46,20 @@ vCPUs) exact took 6.3 against 8.0 ms banded at n = 1000 (ratio 0.63),
 8.0 against 7.9 ms at n = 1400 (0.96) and 12.4 against 7.2 ms at n =
 2000 (1.47).  The exact sum is also taken when the fine grid would
 exceed 2^23 nodes (a bandwidth far below the output step, or far above
-the extent).  It, and the 1-d fallback below, run in sample chunks whose
-kernel matrices hold at most 2^20 entries, 8 MiB.
+the extent).
+
+The exact sum and the 1-d fallback below are one reach-limited Gaussian
+sum, _gaussian_sums, which also spreads fourier's residual grid.  It
+sorts the samples by x, and each block of them reaches only the output
+x nodes within 9h of its own x range: the terms it drops are below
+e^-40.5 of the kernel peak, the cut of the binned path's margin.  The
+cost rule above still counts every x node for every sample, so it
+overstates the exact cost and is now conservative; it stays as it is so
+that every pool keeps its path, and its density bits.  Memory is O(n)
+for a sort index and sorted copies of the samples, plus the output and
+one block of at most 256 KiB per axis: tracemalloc read 2.7 MiB for the
+2-d sum at bandwidths (1e-4, 1e-4) and 4.6 MiB for the 1-d fallback, at
+n = 10^5 and 256 cells.
 
 A pool whose imaginary (or real) part is exactly constant has no 2-d
 density; with default bandwidths kde2d then falls back to an exact 1-d
@@ -63,7 +75,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fourier import _PRODUCT_MACS
 from .popdyn import _sample_array
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -72,8 +83,12 @@ _MARGIN_H = 9.0  # the fine grid reaches this many bandwidths past the extent
 _MASS_BUDGET = 1 << 23  # most fine-grid nodes before kde2d takes the exact path
 _BAND = 64  # fine rows binned and contracted at a time
 _CHUNK = 1 << 13  # samples whose fine coordinates are live at a time
-_KERNEL_ENTRIES = 1 << 20  # most entries of one kernel matrix on the exact paths
+_EXACT_CUT = 0.5 * _MARGIN_H**2  # the exact paths drop kernel terms below e^-_EXACT_CUT
 _TILE_ROWS, _TILE_DEPTH = 32, 128  # most rows and reduction length of one product
+# OpenBLAS 0.3.31 runs a product this small on the calling thread, so its
+# sums do not depend on the thread count; fourier's products share it.
+_PRODUCT_MACS = 1 << 19
+_BLOCK_BYTES = 1 << 18  # most bytes of one samples-by-nodes block of _gaussian_sums
 
 
 @dataclass(frozen=True)
@@ -190,25 +205,46 @@ def _band_mass(xs, ys, fx: _FineAxis, fy: _FineAxis, r0: int, rows: int) -> np.n
     return np.bincount(cells, weights, minlength=rows * ny)
 
 
-def _kernel_matrix(grid: np.ndarray, data: np.ndarray, h: float) -> np.ndarray:
-    u = np.subtract.outer(grid, data)
-    u /= h
-    np.square(u, out=u)
-    u *= -0.5
-    np.exp(u, out=u)
-    u /= h * _SQRT2PI
-    return u
+def _gaussian_sums(xs, ys, x_nodes, y_nodes, hx, hy, cut) -> np.ndarray:
+    """G[i, j] = sum_k exp(-(x_i - xs_k)^2 / (2 hx^2) - (y_j - ys_k)^2 / (2 hy^2)).
+
+    x_nodes must be increasing.  Sorted by x, each block of samples reaches
+    only the x nodes within sqrt(2 cut) hx of its own x range, so a term
+    whose x factor is below e^-cut may be dropped.  Every factor is floored
+    at e^{-2 cut}, which keeps every factor and product a normal number
+    (subnormals slow exp and the matrix products).  A block holds at most
+    _BLOCK_BYTES per axis, and every product has at most _PRODUCT_MACS
+    multiply-adds in a fixed order.
+    """
+    order = np.argsort(xs)
+    xs, ys = xs[order], ys[order]
+    del order
+    nx, ny = x_nodes.shape[0], y_nodes.shape[0]
+    out = np.zeros((nx, ny))
+    reach = math.sqrt(2.0 * cut) * hx
+    rows = max(1, _BLOCK_BYTES // (8 * max(nx, ny)))
+    for a in range(0, xs.shape[0], rows):
+        bx, by = xs[a:a + rows], ys[a:a + rows]
+        i0 = int(np.searchsorted(x_nodes, bx[0] - reach))
+        i1 = int(np.searchsorted(x_nodes, bx[-1] + reach, "right"))
+        if i0 >= i1:
+            continue
+        gx, gy = np.subtract.outer(bx, x_nodes[i0:i1]), np.subtract.outer(by, y_nodes)
+        for g, h in ((gx, hx), (gy, hy)):
+            np.square(g, out=g)
+            g *= -0.5 / (h * h)
+            np.maximum(g, -2.0 * cut, out=g)
+            np.exp(g, out=g)
+        part = max(1, _PRODUCT_MACS // ((i1 - i0) * ny))
+        for r in range(0, bx.shape[0], part):
+            out[i0:i1] += gx[r:r + part].T @ gy[r:r + part]
+    return out
 
 
 def _eval_2d(xg, yg, xs, ys, hx, hy) -> np.ndarray:
-    n = xs.shape[0]
-    out = np.zeros((xg.shape[0], yg.shape[0]))
-    chunk = max(1, _KERNEL_ENTRIES // max(xg.shape[0], yg.shape[0]))
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        _add_product(out, _kernel_matrix(xg, xs[a:b], hx), _kernel_matrix(yg, ys[a:b], hy).T)
-    out /= n
-    return out
+    values = _gaussian_sums(xs, ys, xg, yg, hx, hy, _EXACT_CUT)
+    values /= xs.shape[0] * (2.0 * math.pi * hx * hy)
+    return values
 
 
 def _binned_2d(xg, yg, xs, ys, hx, hy) -> np.ndarray:
@@ -259,11 +295,9 @@ def _kde1d(data: np.ndarray, cells: int, axis: str) -> DensityLine:
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
     grid = _axis_grid(data, h, cells)
-    values = np.zeros(grid.shape[0])
-    chunk = max(1, _KERNEL_ENTRIES // grid.shape[0])
-    for a in range(0, n, chunk):
-        values += _kernel_matrix(grid, data[a : a + chunk], h).sum(axis=1)
-    values /= n
+    # one y node at 0 and every y at 0: each y factor is exactly 1
+    values = _gaussian_sums(data, np.zeros(n), grid, np.zeros(1), h, 1.0, _EXACT_CUT)[:, 0]
+    values /= n * h * _SQRT2PI
     return DensityLine(grid, values, h, n, axis)
 
 

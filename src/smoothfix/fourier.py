@@ -84,12 +84,14 @@ point before anything is allocated; above _MAX_CELLS = 2^17 cells the
 direct kernel runs instead.  At the criterion-4 shape (10^4 samples,
 2 x 10^4 frequencies) the grid was still 4.5x faster than the direct
 kernel at 1.4 x 10^5 cells, so the cap is the memory ceiling, not the
-crossover.  The spreading sorts the samples by real part, so each block
-of samples touches only the about 2 delta / h = 25 x nodes in its reach,
-not all of them: a wide, heavy-tailed pool costs little more than a
-compact one.  Memory: the grid (at most 1 MiB), O(samples) for the
-sorted copy, plus samples- or frequencies-by-nodes blocks of at most
-256 KiB each.  Every matrix product stays within 2^19 multiply-adds:
+crossover.  The spreading is density._gaussian_sums, the KDE's exact
+sum, with standard deviation sqrt(2 tau) per axis and cut L: it sorts
+the samples by real part, so each block of samples touches only the
+about 2 delta / h = 25 x nodes in its reach, not all of them, and a
+wide, heavy-tailed pool costs little more than a compact one.  Memory:
+the grid (at most 1 MiB), O(samples) for the sorted copy, plus samples-
+or frequencies-by-nodes blocks of at most 256 KiB each.  Every matrix
+product stays within density._PRODUCT_MACS = 2^19 multiply-adds:
 OpenBLAS 0.3.31 runs products that small on the calling thread, while
 larger ones wake its worker threads, which cost 4-10 ms per product on
 a 2-vCPU VM.
@@ -109,6 +111,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import _BLOCK_BYTES, _PRODUCT_MACS, _gaussian_sums
 from .popdyn import _sample_array, _workers
 from .rng import DOMAIN_FOURIER, as_generator
 
@@ -127,15 +130,11 @@ _MAX_PHASE = 2.0 ** 40
 # Gaussian gridding of fixed_point_residual's inner ECFs (see the module
 # docstring).  _ALIAS_LOG is L and _TAU_SCALE is A; _MAX_CELLS caps the
 # grid.  Every (samples or frequencies) x nodes block stays within
-# _BLOCK_BYTES, and every matrix product within _PRODUCT_MACS
-# multiply-adds.
+# density._BLOCK_BYTES, and every matrix product within
+# density._PRODUCT_MACS multiply-adds.
 _ALIAS_LOG = math.log(1e14)
 _TAU_SCALE = 1.0
 _MAX_CELLS = 1 << 17
-_BLOCK_BYTES = 1 << 18
-# OpenBLAS 0.3.31 runs a product this small on the calling thread, so its
-# sums do not depend on the thread count; density's products share it.
-_PRODUCT_MACS = 1 << 19
 
 
 class InsufficientSignalError(RuntimeError):
@@ -411,33 +410,14 @@ def _gridded_sums(z: np.ndarray, xis: np.ndarray) -> np.ndarray:
     if layout is None:
         return _fourier_sums(z, xis, None)
     corner, nx, ny, tau, h = layout
-    width = max(nx, ny)
-    # Spread.  Sorted by real part, a block of samples has x weights above
-    # e^{-L} only on the nodes within delta of its own x range.
-    w = z[np.argsort(z.real)] - corner
-    reach = math.sqrt(4.0 * tau * _ALIAS_LOG) / h
-    x_nodes, y_nodes = h * np.arange(nx), h * np.arange(ny)
-    grid = np.zeros((nx, ny))
-    rows = max(1, _BLOCK_BYTES // (8 * width))
-    for a in range(0, n, rows):
-        wx, wy = w.real[a:a + rows], w.imag[a:a + rows]
-        i0 = max(0, int(wx[0] / h - reach))
-        i1 = min(nx, int(wx[-1] / h + reach) + 2)
-        gx, gy = np.subtract.outer(wx, x_nodes[i0:i1]), np.subtract.outer(wy, y_nodes)
-        for g in (gx, gy):
-            np.square(g, out=g)
-            g *= -0.25 / tau
-            # a floor of e^{-2L} keeps every weight and product a normal
-            # number; subnormals slow exp and the matrix product
-            np.maximum(g, -2.0 * _ALIAS_LOG, out=g)
-            np.exp(g, out=g)
-        part = max(1, _PRODUCT_MACS // ((i1 - i0) * ny))
-        for r in range(0, wx.shape[0], part):
-            grid[i0:i1] += gx[r:r + part].T @ gy[r:r + part]
+    # Spread: G = sum_k exp(-|y - z_k|^2 / (4 tau)), Gaussians of variance 2 tau per axis
+    w = z - corner
+    sd = math.sqrt(2.0 * tau)
+    grid = _gaussian_sums(w.real, w.imag, h * np.arange(nx), h * np.arange(ny), sd, sd, _ALIAS_LOG)
     # Grid to frequencies: Ey^T (G^T Ex), with G^T Ex as a real product in
     # which each complex column of Ex is two float64 columns.
     out = np.empty(p, np.complex128)
-    rows = max(1, _BLOCK_BYTES // (16 * width))
+    rows = max(1, _BLOCK_BYTES // (16 * max(nx, ny)))
     part = max(1, _PRODUCT_MACS // (nx * ny))
     scale = h * h / (4.0 * math.pi * tau)
     for lo in range(0, p, rows):

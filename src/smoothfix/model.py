@@ -26,9 +26,11 @@ uses the tanh-sinh rule in U (Takahasi & Mori 1974) with step 1/64 on
 and the Beta moments E[U^a (1-U)^c] within 3e-16, and the report's A4
 statistic, which has a kink at |Z_1| = 1, within 1.1e-6 relative of step
 1/4096.  m(s) = E sum_j |T_j|^s and m'(s) are the rule's finite sums,
-exact for BigginsBinary and Tabular.  CyclicPolya keeps closed forms: its
-E U^{sc}, c = cos(2 pi / b), diverges at s c <= -1, which no quadrature
-rule can see.
+exact for BigginsBinary and Tabular.  BigginsBinary's rule takes log|T_-|
+and log|T_+| from lambda, not from the rounded weights: for real lambda
+past about 20, T_- rounds to 1 while log|T_-| does not round to 0.
+CyclicPolya keeps closed forms: its E U^{sc}, c = cos(2 pi / b), diverges
+at s c <= -1, which no quadrature rule can see.
 
 BigginsBinary and Tabular map uniforms through tables.  Biggins takes
 each weight from the 2-entry table (T_-, T_+), indexed by u < 0.5.
@@ -76,13 +78,15 @@ def _tanh_sinh_uniforms(step: float) -> tuple[np.ndarray, np.ndarray]:
 class _DrawTable:
     """A rule's or drawn weight vectors as rows, laid out as draw_batch returns them, for any s."""
 
-    def __init__(self, values: np.ndarray, counts: np.ndarray):
+    def __init__(self, values: np.ndarray, counts: np.ndarray, log_abs: np.ndarray | None = None):
+        """log_abs, when given, is log|T| known better than from the values; the table takes it over."""
         self.values = values
         self.counts = counts
         self.offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
         self._zeros = np.flatnonzero(values == 0)
         with np.errstate(divide="ignore"):
-            self.log_abs = np.log(np.abs(values))  # -inf at a zero weight
+            self.log_abs = np.log(np.abs(values)) if log_abs is None else log_abs
+        self.log_abs[self._zeros] = -np.inf  # a weight that rounds to 0 counts as 0
 
     def seg_sum(self, flat: np.ndarray) -> np.ndarray:
         return np.add.reduceat(flat, self.offsets)
@@ -121,12 +125,34 @@ class _WeightModel:
     def _rule_table(self) -> tuple[np.ndarray, _DrawTable]:
         """(probs, table): the expectation rule's weights and rows."""
         probs, values, counts = self._expectation_rule()
-        return probs, _DrawTable(values, counts)
+        return probs, _DrawTable(values, counts, self._rule_log_abs(values))
+
+    def _rule_log_abs(self, values: np.ndarray) -> np.ndarray | None:
+        """log|T| of the rule's weights where the model knows it exactly; None takes it from values."""
+        return None
+
+    @functools.cached_property
+    def _rule_moduli(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log w, l): the rule's distinct log-moduli l, each with its total probability w."""
+        probs, table = self._rule_table
+        moduli, at = np.unique(table.log_abs, return_inverse=True)
+        return np.log(np.bincount(at, np.repeat(probs, table.counts))), moduli
 
     def m_closed_form(self, s: float) -> float:
         """m(s) = E sum_j |T_j|^s under the expectation rule; inf when a row sum overflows."""
         probs, table = self._rule_table
         return float(probs @ table.m_hat(s))
+
+    def log_m_closed_form(self, s: float) -> float:
+        """log m(s) for s > 0, a log-sum-exp over the rule's distinct moduli.
+
+        It keeps its sign where m(s) - 1 is below rounding: for real
+        biggins lambda, |T_-|^s reads 1 and log|T_-| does not.
+        """
+        log_w, moduli = self._rule_moduli
+        x = log_w + s * moduli
+        top = int(x.argmax())
+        return float(x[top] + np.log1p(np.exp(np.delete(x, top) - x[top]).sum()))
 
     def m_prime_closed_form(self, s: float) -> float:
         """m'(s) = E sum_j |T_j|^s ln|T_j| under the expectation rule."""
@@ -156,6 +182,19 @@ class BigginsBinary(_WeightModel):
             raise ValueError(f"cosh(lambda) vanishes at lambda = {lam!r}")
         self.lam = lam
         self._table = np.array([t_minus, t_plus])  # indexed by u < 0.5
+        # log|T_-| and log|T_+| from lambda = a + ib, without forming cosh:
+        # |2 cosh lambda| = e^|a| sqrt(y), y = 1 + 2 cos(2b) e^{-2|a|} + e^{-4|a|}
+        # = expm1(-2|a|)^2 + 4 e^{-2|a|} cos(b)^2.  log1p keeps a y near 1
+        # (large |a|); near a zero of cosh, where y is small, 1 + x cancels
+        # and the sum of squares does not.
+        a = abs(lam.real)
+        y = math.expm1(-2.0 * a) ** 2 + 4.0 * math.exp(-2.0 * a) * math.cos(lam.imag) ** 2
+        if y < 0.5:
+            r = 0.5 * math.log(y)
+        else:
+            r = 0.5 * math.log1p(2.0 * math.cos(2.0 * lam.imag) * math.exp(-2.0 * a) + math.exp(-4.0 * a))
+        near, far = -r, -2.0 * a - r
+        self._log_moduli = (near, far) if lam.real >= 0.0 else (far, near)
 
     def __repr__(self) -> str:
         return f"BigginsBinary({self.lam!r})"
@@ -170,6 +209,10 @@ class BigginsBinary(_WeightModel):
         # the four sign pairs, each with probability 1/4
         u = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
         return (np.full(4, 0.25), *self.weights_from_uniforms(u))
+
+    def _rule_log_abs(self, values: np.ndarray) -> np.ndarray:
+        # T_+ = T_- only where a = 0, and there the two moduli agree
+        return np.where(values == self._table[1], self._log_moduli[1], self._log_moduli[0])
 
     def config(self) -> dict:
         return {
@@ -216,6 +259,9 @@ class CyclicPolya(_WeightModel):
     def m_prime_closed_form(self, s: float) -> float:
         den = 1.0 + s * self._c
         return -2.0 * self._c / (den * den) if den > 0.0 else math.inf
+
+    def log_m_closed_form(self, s: float) -> float:
+        return math.log(self.m_closed_form(s))
 
     def config(self) -> dict:
         return {"type": "polya", "b": self.b}

@@ -296,6 +296,42 @@ def test_find_alpha_biggins_real_lambda_is_one():
     assert abs(find_alpha(BigginsBinary(10.0)).alpha - 1.0) < 2e-8
 
 
+def test_find_alpha_is_one_for_real_biggins_lambda():
+    # T_- rounds to 1 from lambda = 20 on, so m(s) - 1 read 0 past some s
+    # and alpha read 0.918 at lambda = 20 and 0.0525 at 350; log m keeps
+    # the sign from log|T_-|, which is taken from lambda
+    for lam in np.geomspace(1.0, 350.0, 25):
+        assert abs(find_alpha(BigginsBinary(lam)).alpha - 1.0) <= 1e-9, lam
+
+
+def test_flat_m_leaves_alpha_indeterminate():
+    # at lambda = 700, log|T_-| underflows to -0 and T_+ to 0: m reads 1
+    # on all of (0, 10] and m' reads 0, so no root can be told
+    rep = check_assumptions(BigginsBinary(700.0), seed=1)
+    assert rep.alpha is None and rep.m_prime_alpha is None
+    assert not rep.multiple_roots
+    assert rep.flags["A2"] == rep.flags["A3"] == rep.flags["A4"] == "indeterminate"
+    assert rep.flags["A1"] == "pass"
+
+
+def test_biggins_rule_log_moduli_match_the_weights():
+    # log|T_-| and log|T_+| come from lambda; near a zero of cosh the
+    # log1p form cancelled (a domain error at lambda = i(pi/2 - 1e-9))
+    for lam in (complex(0.0, math.pi / 2 - 1e-9), complex(1e-9, math.pi / 2),
+                0.3 + 1.2j, -0.5 + 2.0j, 5.0):
+        table = BigginsBinary(lam)._rule_table[1]
+        np.testing.assert_allclose(table.log_abs, np.log(np.abs(table.values)),
+                                   rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("config", [p.values[0] for p in _PINNED_ALPHAS])
+def test_log_m_matches_m(config):
+    model = model_from_config({"model": config})
+    for s in (0.25, 1.0, 1.5, 4.0, 10.0):
+        m = model.m_closed_form(s)
+        assert model.log_m_closed_form(s) == pytest.approx(math.log(m), rel=1e-14, abs=1e-15)
+
+
 @pytest.mark.parametrize("config, alpha, z1, support", _README_REPORTS,
                          ids=lambda v: v["type"] if isinstance(v, dict) else None)
 def test_readme_configs_keep_their_report(config, alpha, z1, support):

@@ -17,6 +17,7 @@ from smoothfix.density import (
     _binned_2d,
     _eval_2d,
     _fine_axis,
+    _gaussian_sums,
     grid_integral,
     kde2d,
 )
@@ -270,14 +271,49 @@ def test_kde2d_memory_bounded():
 
 
 def test_exact_paths_memory_bounded():
-    # each kernel matrix holds at most 2^20 entries, 8 MiB; with 2^15
-    # samples per chunk the 1-d fallback peaked at 192 MiB and the 2-d
-    # exact sum at 257 MiB
+    # the shared reach-limited sum holds a sort index and sorted copies of
+    # the samples, the output and one block of at most 256 KiB per axis:
+    # 4.6 MiB for the 1-d fallback and 2.7 MiB for the 2-d exact sum, where
+    # full-width kernel matrices of 2^20 entries peaked at 9.5 and 16.6 MiB
     rng = philox(25, 1)
     x = rng.standard_normal(100_000)
-    assert _traced_peak(lambda: kde2d(x + 0j)) <= 12 * 2**20
+    assert _traced_peak(lambda: kde2d(x + 0j)) <= 6 * 2**20
     z = x + 1j * rng.standard_normal(100_000)
-    assert _traced_peak(lambda: kde2d(z, bandwidth=(1e-4, 1e-4))) <= 24 * 2**20
+    assert _traced_peak(lambda: kde2d(z, bandwidth=(1e-4, 1e-4))) <= 6 * 2**20
+
+
+def test_gaussian_sums_match_brute_force():
+    # unsorted samples, a cluster of 2000 beyond the reach of every node
+    # (so at least one block touches no node), and a one-node y axis
+    rng = philox(32, 0)
+    xs = np.concatenate([rng.standard_normal(3000), 30.0 + rng.standard_normal(2000)])
+    ys = rng.standard_normal(xs.shape[0])
+    order = rng.permutation(xs.shape[0])
+    xs, ys = xs[order], ys[order]
+    x_nodes = np.linspace(-4.0, 4.0, 57)
+    hx, hy = 0.3, 0.5
+
+    def brute(y_nodes, cut, drop):
+        fx = np.exp(np.maximum(-0.5 * ((x_nodes[:, None] - xs) / hx) ** 2, -2.0 * cut))
+        fy = np.exp(np.maximum(-0.5 * ((y_nodes[:, None] - ys) / hy) ** 2, -2.0 * cut))
+        if drop:  # the terms of every sample farther than the reach from the node
+            fx[np.abs(x_nodes[:, None] - xs) > math.sqrt(2.0 * cut) * hx] = 0.0
+        return fx @ fy.T
+
+    for y_nodes in (np.linspace(-3.0, 3.0, 40), np.zeros(1)):
+        sums = _gaussian_sums(xs, ys, x_nodes, y_nodes, hx, hy, 40.5)
+        assert sums.shape == (57, y_nodes.shape[0])
+        ref = brute(y_nodes, 40.5, True)
+        assert np.abs(sums - ref).max() <= 1e-13 * ref.max()
+        # at a cut of 2 (a reach of 2 h) the dropped terms are visible: the
+        # sum lies between the brute-force sum with and without them
+        sums = _gaussian_sums(xs, ys, x_nodes, y_nodes, hx, hy, 2.0)
+        low, high = brute(y_nodes, 2.0, True), brute(y_nodes, 2.0, False)
+        assert (high - low).max() > 0.1
+        assert (sums >= low * (1 - 1e-13)).all() and (sums <= high * (1 + 1e-13)).all()
+    # a block beyond the reach of every node adds nothing
+    far = _gaussian_sums(xs[xs > 20.0], ys[xs > 20.0], x_nodes, np.zeros(1), hx, hy, 40.5)
+    assert not far.any()
 
 
 def test_density_files_do_not_depend_on_blas_threads(tmp_path):

@@ -276,6 +276,30 @@ def test_stderrs_do_not_depend_on_blas_threads(tmp_path):
     assert runs == [expected, expected]
 
 
+def test_gridded_sums_do_not_depend_on_blas_threads(tmp_path):
+    # the residual's grid sums rest on OpenBLAS running products of at most
+    # _PRODUCT_MACS multiply-adds on the calling thread; a BLAS that splits
+    # them across threads would change their last bits with the mask
+    model = CyclicPolya(8)
+    z = run(model, n=10_000, K=40, seed=1).pool.samples
+    values = model.draw_batch(philox(31, DOMAIN_FOURIER, 0), 10_000)[0]
+    xis = np.conj(values) * (1.0 + 0.5j)  # the residual's 2 x 10^4 inner frequencies
+    np.save(tmp_path / "z.npy", z)
+    np.save(tmp_path / "xis.npy", xis)
+    script = ("import sys, numpy as np; from smoothfix.fourier import _gridded_sums; "
+              "sys.stdout.write(_gridded_sums(np.load(sys.argv[1]), np.load(sys.argv[2]))"
+              ".tobytes().hex())")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        runs.append(subprocess.run([sys.executable, "-c", script, str(tmp_path / "z.npy"),
+                                    str(tmp_path / "xis.npy")],
+                                   env=env, capture_output=True, text=True, check=True).stdout)
+    expected = _gridded_sums(z, xis).tobytes().hex()
+    assert runs == [expected, expected]
+
+
 def test_polar_grid_memory_is_bounded(monkeypatch):
     # one frequency tile per worker is live at a time; an untiled kernel
     # needs about 134 MB for each complex (512 x 2^14) temporary
