@@ -82,10 +82,11 @@ def find_alpha(model, n: int = 100_000, rng=None, method: str = "closed_form") -
     Scans a geometric grid for a sign change of m - 1 and bisects the
     bracket down to width 1e-9; the closed form takes the sign from log m,
     which keeps it where m - 1 is below rounding.  m is convex, so there are at most two
-    roots; if m has returned above 1 by s = 10 the result carries
-    multiple_roots = True and alpha is the smaller root.  method is
-    "closed_form" (the model's m) or "monte_carlo" (the mean over n weight
-    draws from rng, an rng or an integer seed, with a delta-method stderr).
+    roots; if m is back at or above 1 at s = 10, by the sign of the
+    excess with no tolerance, the result carries multiple_roots = True
+    and alpha is the smaller root.  method is "closed_form" (the model's
+    m) or "monte_carlo" (the mean over n weight draws from rng, an rng or
+    an integer seed, with a delta-method stderr).
     """
     if method == "closed_form":
         table = None
@@ -127,7 +128,7 @@ def find_alpha(model, n: int = 100_000, rng=None, method: str = "closed_form") -
             lo = mid
     alpha = 0.5 * (lo + hi)
 
-    multiple = (_S_MAX - alpha) > 10.0 * _TOL and excess(_S_MAX) >= -1e-12
+    multiple = (_S_MAX - alpha) > 10.0 * _TOL and excess(_S_MAX) >= 0.0
 
     stderr = 0.0
     if table is not None:

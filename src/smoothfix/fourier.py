@@ -33,7 +33,8 @@ inputs and results.  A tile is at most 8 frequencies and 2^15 values, so
 one worker per core in the process's CPU affinity mask (os.cpu_count()
 where the platform has no mask), never more than there are frequency
 tiles; restrict the mask (taskset) to use fewer.  With W workers, worker w takes frequency
-tiles w, w + W, w + 2W, ..., so the split needs no shared state, and each
+tiles w, w + W, w + 2W, ..., worker 0 on the calling thread
+(popdyn._fan_out), so the split needs no shared state, and each
 frequency is summed in the same order whatever the tiling, so results are
 bit-identical for every worker count.
 
@@ -106,13 +107,12 @@ Mureika 1977) with the n / (n - 1) correction; one sample has stderr 0.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .density import _BLOCK_BYTES, _PRODUCT_MACS, _gaussian_sums
-from .popdyn import _sample_array, _workers
+from .popdyn import _fan_out, _sample_array, _workers
 from .rng import DOMAIN_FOURIER, as_generator
 
 # Samples reduced at a time.  It fixes the summation order of every
@@ -349,11 +349,7 @@ def _fourier_sums(z: np.ndarray, xis: np.ndarray, prefac: np.ndarray | None,
                     e *= prefac[a:b]
                     out[lo:hi] += e.sum(axis=1)
 
-    if workers == 1:
-        work(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(workers)))
+    _fan_out(work, workers)
     return acc
 
 

@@ -6,11 +6,14 @@ draw per output and ancestor indices I_j drawn uniformly with replacement
 from the previous pool.
 
 Every output index owns a fixed block of uniforms in a counter-based
-stream keyed by (seed, generation): columns [0, budget) drive the weight
-draw, the next max_children columns the ancestor indices, the rest pad
-the row to a counter block.  The uniforms and the ancestor indices are
-therefore independent of the chunk size, and any single output can be
-recomputed in isolation up to rounding.
+stream keyed by (seed, generation): generation k draws from the Philox
+stream of philox(seed, DOMAIN_POPDYN, k), whatever produced the pool it
+starts from, so a seeded pool, in memory or read back from disk,
+continues exactly as a longer run would.  Columns [0, budget) drive the
+weight draw, the next max_children columns the ancestor indices, the
+rest pad the row to a counter block.  The uniforms and the ancestor
+indices are therefore independent of the chunk size, and any single
+output can be recomputed in isolation up to rounding.
 
 The sample bits are not independent of the chunk size.  numpy elides the
 temporary of an expression such as zeta * np.exp(...) in
@@ -32,9 +35,9 @@ Each generation runs on one worker thread per core of the process's CPU
 affinity mask.  Every chunk is cut into rows // 2^14 blocks (at least
 one), at edges that do not depend on the worker count, and with W
 workers worker w takes blocks w, w + W, ..., the first inline.  A block
-draws its rows from a copy of the caller's Philox advanced to its first
-row's counter block, so its uniforms are the chunk's, and it writes its
-rows straight into the new pool.  A cut block still has at least 2^14
+draws its rows from a Philox on the generation's key advanced to its
+first row's counter block, so its uniforms are the chunk's, and it writes
+its rows straight into the new pool.  A cut block still has at least 2^14
 rows, and every row at least one child, so its weight map and its
 products make the elision choices of its chunk, and chunks under 2^15
 rows stay whole; elementwise maps and per-row sums do not depend on where
@@ -79,6 +82,15 @@ def _workers() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _fan_out(work, workers: int) -> list:
+    """[work(0), ..., work(workers - 1)]: work(0) on the calling thread, the rest on a pool."""
+    if workers == 1:
+        return [work(0)]
+    with ThreadPoolExecutor(max_workers=workers - 1) as threads:
+        others = [threads.submit(work, w) for w in range(1, workers)]
+        return [work(0)] + [f.result() for f in others]
 
 
 class PoolOverflowError(ArithmeticError):
@@ -137,6 +149,8 @@ class RunResult:
 
 def init_pool(n: int, value: complex = 1.0, seed: int | None = None,
               model_fingerprint: str = "") -> SamplePool:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"pool size must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"pool size must be at least 2, got {n}")
     samples = np.full(int(n), complex(value), dtype=np.complex128)
@@ -179,27 +193,14 @@ def _worker_buffers(n: int, model) -> list[_Buffers]:
     return [_Buffers(rows, model) for _ in range(min(_workers(), len(blocks)))]
 
 
-def _stream_start(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Key and counter of rng's Philox stream, which must stand at a counter-block boundary."""
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.Philox):
-        raise ValueError(f"iterate needs a Philox generator, got {type(bits).__name__}")
-    state = bits.state
-    if state["buffer_pos"] != BLOCK or state["has_uint32"]:
-        raise ValueError("iterate needs an rng at a Philox counter-block boundary; "
-                         "this one holds part of a block already drawn")
-    return state["state"]["key"], state["state"]["counter"]
-
-
-def _update_block(pool: SamplePool, model, stream, start: int, stop: int,
+def _update_block(pool: SamplePool, model, key: np.ndarray, start: int, stop: int,
                   buf: _Buffers, out: np.ndarray) -> None:
-    """Write rows [start, stop) of the next generation into out[start:stop]."""
+    """Write rows [start, stop) of the next generation, drawn on Philox `key`, to out."""
     n, rows = pool.n, stop - start
     budget = model.uniform_budget
     max_c = model.max_children
     width = padded_width(budget + max_c)
-    key, counter = stream
-    bits = np.random.Philox(counter=counter, key=key)
+    bits = np.random.Philox(key=key)
     bits.advance(start * width // BLOCK)
     u = np.random.Generator(bits).random(out=buf.u[: rows * width].reshape(rows, width))
     values, counts = model.weights_from_uniforms(u[:, :budget])
@@ -237,20 +238,22 @@ def _update_block(pool: SamplePool, model, stream, start: int, stop: int,
         )
 
 
-def iterate(pool: SamplePool, model, rng: np.random.Generator, *,
-            buffers: list[_Buffers] | None = None) -> SamplePool:
-    """Advance the pool one generation.
+def iterate(pool: SamplePool, model, *, buffers: list[_Buffers] | None = None) -> SamplePool:
+    """Advance a seeded pool one generation.
 
-    Takes rng's Philox stream row-major, padded_width(budget + max_children)
-    uniforms per output index, and leaves rng where drawing them all would;
-    rng must stand at a counter-block boundary.  The blocks run on one
-    worker per entry of buffers (by default _worker_buffers(pool.n, model),
-    which run allocates once per run).  An overflow names the lowest
-    non-finite row.
+    Generation pool.generation + 1 draws from the stream of
+    philox(pool.seed, DOMAIN_POPDYN, pool.generation + 1), row-major,
+    padded_width(budget + max_children) uniforms per output index; a pool
+    without a seed raises ValueError.  The blocks run on one worker per
+    entry of buffers (by default _worker_buffers(pool.n, model), which run
+    allocates once per run).  An overflow names the lowest non-finite row.
     """
+    if pool.seed is None:
+        raise ValueError("iterate needs a seeded pool: its stream is keyed by "
+                         "(seed, generation), and this pool has no seed")
     n = pool.n
-    width = padded_width(model.uniform_budget + model.max_children)
-    stream = _stream_start(rng)
+    stream = philox(pool.seed, DOMAIN_POPDYN, pool.generation + 1)
+    key = stream.bit_generator.state["state"]["key"]
     if buffers is None:
         buffers = _worker_buffers(n, model)
     workers = len(buffers)
@@ -260,21 +263,14 @@ def iterate(pool: SamplePool, model, rng: np.random.Generator, *,
     def work(w: int) -> PoolOverflowError | None:
         for start, stop in blocks[w::workers]:
             try:
-                _update_block(pool, model, stream, start, stop, buffers[w], out)
+                _update_block(pool, model, key, start, stop, buffers[w], out)
             except PoolOverflowError as err:
                 return err  # this worker's blocks run in row order
         return None
 
-    if workers == 1:
-        errors = [work(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers - 1) as threads:
-            others = [threads.submit(work, w) for w in range(1, workers)]
-            errors = [work(0)] + [f.result() for f in others]
-    errors = [err for err in errors if err is not None]
+    errors = [err for err in _fan_out(work, workers) if err is not None]
     if errors:
         raise min(errors, key=lambda err: err.index)
-    rng.bit_generator.advance(n * width // BLOCK)
     return SamplePool(pool.generation + 1, out, pool.seed, pool.model_fingerprint)
 
 
@@ -313,8 +309,8 @@ def run(model, n: int, K: int, seed: int, init_value: complex = 1.0) -> RunResul
     buffers = _worker_buffers(pool.n, model)
     cum_var = 0.0
     summaries = [_summarize(pool, _variances(pool), cum_var)]
-    for k in range(1, K + 1):
-        pool = iterate(pool, model, philox(seed, DOMAIN_POPDYN, k), buffers=buffers)
+    for _ in range(K):
+        pool = iterate(pool, model, buffers=buffers)
         var = _variances(pool)
         cum_var += var[0] + var[1]
         summaries.append(_summarize(pool, var, cum_var))

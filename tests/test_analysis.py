@@ -113,6 +113,14 @@ def test_find_alpha_multiple_roots_flagged():
     assert model.m_closed_form(res.alpha) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("lam", [19.0, 30.0, 350.0])
+def test_find_alpha_large_real_lambda_has_one_root(lam):
+    # log m(10) is below 0 by less than 1e-12 here (-9.9e-304 at 350): the
+    # sign alone says m has not come back to 1
+    assert BigginsBinary(lam).log_m_closed_form(10.0) < 0.0
+    assert not find_alpha(BigginsBinary(lam)).multiple_roots
+
+
 def test_check_assumptions_polya8():
     rep = check_assumptions(CyclicPolya(8), seed=7)
     assert rep.alpha == pytest.approx(math.sqrt(2.0), abs=1e-9)

@@ -7,11 +7,12 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from smoothfix import BigginsBinary, CyclicPolya, fourier
+from smoothfix import BigginsBinary, CyclicPolya, fourier, popdyn
 from smoothfix.density import kde2d
 from smoothfix.fourier import (
     InsufficientSignalError,
@@ -167,13 +168,14 @@ class _NoPool:
 
 def _requested_workers(monkeypatch, z, radii):
     """polar_grid on 64 angles with a ThreadPoolExecutor stand-in that
-    records the requested worker count and runs the work inline, so no
-    thread starts whatever the count."""
+    records the worker count, its threads plus the calling thread that
+    runs worker 0, and runs the work inline, so no thread starts whatever
+    the count."""
     requested = []
 
     class InlinePool:
         def __init__(self, max_workers):
-            requested.append(max_workers)
+            requested.append(max_workers + 1)
 
         def __enter__(self):
             return self
@@ -181,10 +183,12 @@ def _requested_workers(monkeypatch, z, radii):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
 
-    monkeypatch.setattr(fourier, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(popdyn, "ThreadPoolExecutor", InlinePool)
     return polar_grid(z, radii, n_angles=64), requested
 
 
@@ -211,7 +215,7 @@ def test_worker_count_follows_affinity_mask(monkeypatch):
     radii = [1.0, 2.0]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     with monkeypatch.context() as m:
-        m.setattr(fourier, "ThreadPoolExecutor", _NoPool)
+        m.setattr(popdyn, "ThreadPoolExecutor", _NoPool)
         expected = polar_grid(z, radii, n_angles=64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
     grid, requested = _requested_workers(monkeypatch, z, radii)
@@ -227,7 +231,7 @@ def test_worker_count_follows_affinity_mask(monkeypatch):
 def test_single_tile_calls_start_no_thread(monkeypatch, polya_pool):
     # one frequency tile runs inline: a pool that cannot be built must not
     # be asked for
-    monkeypatch.setattr(fourier, "ThreadPoolExecutor", _NoPool)
+    monkeypatch.setattr(popdyn, "ThreadPoolExecutor", _NoPool)
     z = polya_pool.samples
     ecf(z, 1.0 - 0.5j)
     for which in ("d_xi", "d_xibar"):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothfix import BigginsBinary, CyclicPolya, Tabular, popdyn
+from smoothfix import BigginsBinary, CyclicPolya, Tabular, io, popdyn
 from smoothfix.popdyn import PoolOverflowError, init_pool, iterate, run
 from smoothfix.rng import BLOCK, DOMAIN_POPDYN, padded_width, philox
 
@@ -24,6 +24,21 @@ def test_init_pool_validation():
     pool = init_pool(5, 2.0 + 1.0j)
     assert pool.generation == 0
     assert (pool.samples == 2.0 + 1.0j).all()
+    assert init_pool(np.int64(5)).n == 5
+
+
+@pytest.mark.parametrize("n", [2.9, 5.0, np.float64(5.0), True, "5"], ids=repr)
+def test_pool_size_must_be_an_integer(n):
+    # a pool size that is not an integer is rejected, not truncated
+    with pytest.raises(ValueError, match="pool size must be an integer"):
+        init_pool(n)
+    with pytest.raises(ValueError, match="pool size must be an integer"):
+        run(CyclicPolya(8), n=n, K=1, seed=1)
+
+
+def test_iterate_needs_a_seeded_pool():
+    with pytest.raises(ValueError, match="seeded pool"):
+        iterate(init_pool(100), CyclicPolya(8))
 
 
 def test_run_requires_at_least_one_generation():
@@ -40,11 +55,11 @@ def test_run_deterministic():
 
 def test_iterate_chunk_size_does_not_change_results(monkeypatch):
     model = BigginsBinary(1.0 + 0.5j)
-    pool = init_pool(257, 1.0)
+    pool = init_pool(257, 1.0, seed=9)
     monkeypatch.setattr(popdyn, "_CHUNK_ROWS", 7)
-    out1 = iterate(pool, model, philox(9, DOMAIN_POPDYN, 1))
+    out1 = iterate(pool, model)
     monkeypatch.setattr(popdyn, "_CHUNK_ROWS", 100_000)
-    out2 = iterate(pool, model, philox(9, DOMAIN_POPDYN, 1))
+    out2 = iterate(pool, model)
     assert np.array_equal(out1.samples, out2.samples)
 
 
@@ -89,24 +104,38 @@ def test_mean_preserved_within_accumulated_se():
 
 
 def test_run_extends_reproducibly():
-    # a shorter run is a prefix of a longer one, and iterating its pool on
-    # the later generations' streams reproduces the longer run's pool
+    # a shorter run is a prefix of a longer one, and iterating its pool
+    # reproduces the longer run's pool
     model, seed = CyclicPolya(8), 5
     short = run(model, n=300, K=4, seed=seed)
     long = run(model, n=300, K=10, seed=seed)
     assert short.summaries == long.summaries[:5]
     pool = short.pool
-    for k in range(5, 11):
-        pool = iterate(pool, model, philox(seed, DOMAIN_POPDYN, k))
+    for _ in range(5, 11):
+        pool = iterate(pool, model)
     assert pool.generation == 10
     assert pool.samples.tobytes() == long.pool.samples.tobytes()
 
 
+@pytest.mark.parametrize("n", [5000, 70_000])
+@pytest.mark.parametrize("model", [CyclicPolya(8), BigginsBinary(1.0 + 0.5j),
+                                   Tabular([(0.5, (0.9,)), (0.5, (0.25, 0.25, 0.25, 0.25, 0.1))])],
+                         ids=lambda m: m.kind)
+def test_pool_read_back_from_disk_continues_like_a_longer_run(tmp_path, model, n):
+    # the meta keeps seed and generation, so the next generation's stream
+    # is the one a longer run takes
+    path = io.write_pool_csv(tmp_path / "pool.csv", run(model, n, K=3, seed=7).pool)
+    pool = iterate(io.read_pool_csv(path), model)
+    longer = run(model, n, K=4, seed=7).pool
+    assert (pool.generation, pool.seed) == (4, 7)
+    assert pool.samples.tobytes() == longer.samples.tobytes()
+
+
 def test_overflow_identifies_index_and_draw():
     model = Tabular([(1.0, (10.0,))])
-    pool = init_pool(8, 1e308)
+    pool = init_pool(8, 1e308, seed=0)
     with pytest.raises(PoolOverflowError) as info:
-        iterate(pool, model, philox(0, DOMAIN_POPDYN, 1))
+        iterate(pool, model)
     err = info.value
     assert err.generation == 1
     assert 0 <= err.index < 8
@@ -177,10 +206,10 @@ def test_pair_sum_matches_reduceat_bits():
     rng = np.random.default_rng(8)
     zeros = np.array([0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)])
     samples = np.concatenate([zeros.repeat(100), rng.standard_normal(600) * 1e5 ** rng.random(600)])
-    pool = popdyn.SamplePool(0, samples + 0j, 1, "")
+    pool = popdyn.SamplePool(0, samples + 0j, 2, "")
     cancelling = Tabular([(0.5, (1.0, -1.0)), (0.5, (1j, -1j))])
     for model in (CyclicPolya(8), BigginsBinary(1.0 + 0.5j), cancelling):
-        out = iterate(pool, model, philox(2, DOMAIN_POPDYN, 1))
+        out = iterate(pool, model)
         _, expected = _reduceat_generation(pool, model, philox(2, DOMAIN_POPDYN, 1))
         assert out.samples.tobytes() == expected.tobytes()
 
@@ -188,11 +217,11 @@ def test_pair_sum_matches_reduceat_bits():
 def test_pair_sum_overflow_names_the_reduceat_row_and_draw():
     model = Tabular([(0.5, (1.0, 1.0)), (0.5, (1.0, -1.0))])
     samples = np.where(np.arange(64) % 2 == 0, 1e308, 1.0).astype(np.complex128)
-    pool = popdyn.SamplePool(0, samples, 1, "")
+    pool = popdyn.SamplePool(0, samples, 5, "")
     values, expected = _reduceat_generation(pool, model, philox(5, DOMAIN_POPDYN, 1))
     row = int(np.flatnonzero(~np.isfinite(expected))[0])
     with pytest.raises(PoolOverflowError) as info:
-        iterate(pool, model, philox(5, DOMAIN_POPDYN, 1))
+        iterate(pool, model)
     assert info.value.index == row
     assert info.value.weights == tuple(complex(v) for v in values[2 * row : 2 * row + 2])
 
@@ -260,31 +289,6 @@ def test_blocks_cut_chunks_at_fixed_edges():
     assert popdyn._blocks(5) == [(0, 5)]
 
 
-@pytest.mark.parametrize("model", [CyclicPolya(8), BigginsBinary(1.0 + 0.5j), _RAGGED,
-                                   Tabular([(0.5, (0.9,)), (0.5, (0.25, 0.25, 0.25, 0.25, 0.1))])],
-                         ids=lambda m: m.kind + str(m.max_children))
-def test_iterate_leaves_rng_where_the_serial_draw_ends(monkeypatch, model):
-    monkeypatch.setattr(popdyn, "_workers", lambda: 2)
-    n = 70_000
-    rng = philox(4, DOMAIN_POPDYN, 1)
-    iterate(init_pool(n), model, rng)
-    serial = philox(4, DOMAIN_POPDYN, 1)
-    serial.random((n, padded_width(model.uniform_budget + model.max_children)))
-    assert rng.random(4).tobytes() == serial.random(4).tobytes()
-
-
-def test_iterate_needs_philox_at_a_counter_block_boundary():
-    pool = init_pool(100)
-    with pytest.raises(ValueError, match="Philox"):
-        iterate(pool, CyclicPolya(8), np.random.default_rng(1))
-    rng = philox(1, DOMAIN_POPDYN, 1)
-    rng.random(3)
-    with pytest.raises(ValueError, match="counter-block boundary"):
-        iterate(pool, CyclicPolya(8), rng)
-    rng.random(1)  # four doubles drawn: a whole counter block
-    assert iterate(pool, CyclicPolya(8), rng).generation == 1
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_overflow_in_two_blocks_names_the_lowest_row(monkeypatch, workers):
     """Blocks 1 and 2 both overflow; with two workers they run on different
@@ -306,7 +310,7 @@ def test_overflow_in_two_blocks_names_the_lowest_row(monkeypatch, workers):
     bad = np.flatnonzero(~np.isfinite(expected))
     assert bad[0] // rows == 1 and (bad // rows == 2).any()
     with pytest.raises(PoolOverflowError) as info:
-        iterate(pool, model, philox(6, DOMAIN_POPDYN, 1))
+        iterate(pool, model)
     assert info.value.index == bad[0]
     assert info.value.weights == (10.0 + 0j,)
 
